@@ -149,7 +149,7 @@ def _cmd_plan(args) -> int:
         console(
             f"\nplan input={shape} dtype={d['input_dtype']} mode={d['mode']} "
             f"steps={d['steps']} fast_convs={d['fast_conv_steps']}/"
-            f"{d['conv_steps']} sparse_batched={d['sparse_batched_layers']}"
+            f"{d['conv_steps']}"
         )
         rows = []
         for i, step in enumerate(d["step_list"]):

@@ -67,7 +67,7 @@ class LayerWorkload:
     per_channel_sensitive: np.ndarray | None = None
     input_sensitive_fraction: float = 0.0
     #: Result-generation census recorded by the software executor (see
-    #: ``ODQConvExecutor._note_exec_path``): output rows seen vs rows the
+    #: ``ODQConvExecutor._note_run``): output rows seen vs rows the
     #: dispatched path actually computed, and the MACs of the gathered-row
     #: full-result GEMM.  ``0`` means "census not recorded" (old dumps,
     #: non-ODQ schemes) and preserves the channel-granular accounting.

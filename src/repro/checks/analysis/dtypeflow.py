@@ -16,9 +16,9 @@ Per-function facts are symbolic bases recorded by the summarizer
 constant, ``param i``, a conditional taint over another basis, or a
 one-level ``call`` result.  This pass resolves those bases over the call
 graph — callee returns, params bound to caller arguments — and reports
-DTY110 wherever a resolved-**tainted** value reaches a ``pgemm`` /
-``plan_gemm`` argument, anchored at the *tainting operation* with the
-sink named in the message.  That is what retires the name-heuristic
+DTY110 wherever a resolved-**tainted** value reaches a ``pgemm``
+argument, anchored at the *tainting operation* with the sink named in
+the message.  That is what retires the name-heuristic
 DTY103: no identifier conventions, only provenance.
 """
 

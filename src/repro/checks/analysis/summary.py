@@ -85,7 +85,7 @@ _SOURCE_CALL_PREFIXES = ("quantize",)
 
 #: Terminal callee names that are GEMM sinks (resolution happens later;
 #: the terminal match keeps fixtures independent of the repro tree).
-GEMM_SINK_TERMINALS = frozenset({"pgemm", "plan_gemm"})
+GEMM_SINK_TERMINALS = frozenset({"pgemm"})
 
 
 # --------------------------------------------------------------------------
@@ -145,7 +145,7 @@ class StateWrite:
 
 @dataclass
 class GemmCall:
-    """A call into a GEMM sink (``pgemm`` / ``plan_gemm``)."""
+    """A call into the GEMM sink (``pgemm``)."""
 
     callee: str
     line: int

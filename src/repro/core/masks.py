@@ -40,7 +40,7 @@ class SensitivityMask:
 
     @property
     def sensitive_count(self) -> int:
-        return int(self.mask.sum())
+        return int(np.count_nonzero(self.mask))
 
     @property
     def sensitive_fraction(self) -> float:

@@ -45,9 +45,17 @@ between
     per layer-call dispatch on the sensitive-row density against
     :data:`SPARSE_ROW_CROSSOVER` (measured in
     ``benchmarks/bench_odq_sparse.py``).
+
+:func:`conv_eq3` is the package's one implementation of all three.
+:func:`odq_mixed_conv`, :meth:`ODQConvExecutor.run` and the compiled
+plan's conv step (:mod:`repro.core.plan`) wrap it and differ only in
+the layer-record bookkeeping they keep.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,50 +108,151 @@ def odq_weight_qparams(
     return symmetric_qparams(max(scale_src, 1e-8), total_bits)
 
 
-def _partial_2d(cache: ColumnCache, packed: PackedConvWeights,
-                scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """(dequantized predictor partial, raw HH GEMM) in (rows, C_out) layout.
+class Eq3Result(NamedTuple):
+    """What one :func:`conv_eq3` call computed.  Callers keep their own
+    layer-record bookkeeping; the kernel touches no record."""
 
-    The HH GEMM result holds exact integer values in float64 (see
-    :mod:`repro.core.colcache`); it is returned so the sparse path can
-    reassemble the full integer accumulate without recomputing it.
+    out: np.ndarray           #: NCHW layer output
+    mask: SensitivityMask     #: predicted-sensitive outputs
+    sensitive: int            #: ``mask.sensitive_count``
+    partial: np.ndarray       #: NCHW predictor partial (see ``keep_partial``)
+    full: np.ndarray | None   #: dense NCHW full result; ``None`` after ``sparse``
+    path: str                 #: ``dense`` | ``sparse`` (``auto`` resolved)
+    rows_computed: int        #: output rows whose full result was computed
+    cache: ColumnCache        #: the call's columns (``cache.rows`` rows)
+
+
+def _partial_2d(cache: ColumnCache, packed: PackedConvWeights, scale: float,
+                bias2d: np.ndarray | None) -> np.ndarray:
+    """Dequantized predictor partial in ``(rows, C_out)`` layout.
+
+    The ``I_HBS*W_HBS`` GEMM holds exact integer values in float64 (see
+    :mod:`repro.core.colcache`); it is shifted left by ``2*N_LBS`` and
+    joined by the per-channel zero-point (and low-plane compensation)
+    constant and the bias, so its magnitude compares directly against
+    the final output feature.
     """
     hh2d = pgemm(cache.cols_high, packed.wmat_high)
     partial2d = scale * (
         hh2d * float(1 << packed.high_shift)
         + (cache.e_low - cache.qp_a.zero_point) * packed.w_sum
     )
-    return partial2d, hh2d
+    return partial2d if bias2d is None else partial2d + bias2d
 
 
-def _dense_full_2d(cache: ColumnCache, packed: PackedConvWeights,
-                   scale: float) -> np.ndarray:
-    """Exact INT4 static-quantization output, dense GEMM, (rows, C_out)."""
-    acc2d = pgemm(cache.cols, packed.wmat_full)
-    return scale * (acc2d - cache.qp_a.zero_point * packed.w_sum)
+def _full_2d(cache: ColumnCache, cols: np.ndarray, packed: PackedConvWeights,
+             scale: float, bias2d: np.ndarray | None) -> np.ndarray:
+    """Exact INT4 static-quantization output for the rows of ``cols``.
 
-
-def _sparse_full_rows(
-    cache: ColumnCache,
-    packed: PackedConvWeights,
-    scale: float,
-    sel: np.ndarray,
-) -> np.ndarray:
-    """Exact full output for the selected rows only, ``(len(sel), C_out)``.
-
-    One gather + one GEMM against the full packed operand — literally
-    :func:`_dense_full_2d` restricted to the selected rows, so the result
-    is bit-exact by construction.  The hardware-faithful alternative
-    (reuse the predictor's HH term, one GEMM against the cross-term
-    operand ``wmat_rest``) computes the same integers but needs a
-    2x-wide operand and a second gather; a float64 GEMM gives no low-bit
-    discount, so the full-operand form wins row-for-row (the cross-term
-    machinery lives on in :mod:`repro.core.colcache` — it is what the
-    paper's executor clusters physically compute, and the tests pin its
-    algebra against this path).
+    ``cols`` is either the dense column matrix or a gather of selected
+    rows (:meth:`ColumnCache.full_rows`), so the dense and sparse paths
+    share one expression and agree bit for bit.  The hardware-faithful
+    alternative (reuse the predictor's HH term, one GEMM against the
+    cross-term operand ``wmat_rest``) computes the same integers but
+    needs a 2x-wide operand and a second gather; a float64 GEMM gives no
+    low-bit discount, so the full operand wins row for row (the
+    cross-term machinery lives on in :mod:`repro.core.colcache`, and the
+    tests pin its algebra against this path).
     """
-    acc_rows = pgemm(cache.full_rows(sel), packed.wmat_full)
-    return scale * (acc_rows - cache.qp_a.zero_point * packed.w_sum)
+    acc = pgemm(cols, packed.wmat_full)
+    full2d = scale * (acc - cache.qp_a.zero_point * packed.w_sum)
+    return full2d if bias2d is None else full2d + bias2d
+
+
+def conv_eq3(
+    make_cache: Callable[[], ColumnCache],
+    packed: PackedConvWeights,
+    w_scale: float,
+    bias2d: np.ndarray | None,
+    threshold: float,
+    path_mode: str,
+    crossover: float,
+    layer: str,
+    keep_partial: bool = False,
+) -> Eq3Result:
+    """ODQ sensitivity prediction and result generation for one conv call.
+
+    This is the only implementation of Eq. 3 in the package: the
+    predictor's ``I_HBS*W_HBS`` partial, the threshold mask over
+    ``|partial|``, and the exact result (all four cross terms) for the
+    sensitive outputs only.  :func:`odq_mixed_conv`,
+    :meth:`ODQConvExecutor.run` and the compiled plan's conv step are
+    thin wrappers over it.
+
+    ``make_cache`` builds the call's :class:`ColumnCache` (quantize, pad,
+    bit-split) inside the ``odq.quantize`` span; the effective scale is
+    ``cache.qp_a.scale * w_scale``.  ``path_mode`` is one of
+    :data:`EXEC_PATHS`; ``auto`` takes the sparse path when the share of
+    rows with at least one sensitive channel is at most ``crossover``.
+    The sparse path scatters the exact rows into the predictor partial
+    in place, so ``partial`` then aliases ``out`` unless
+    ``keep_partial`` asks for a copy.
+
+    Emits ``odq.run`` with the ``odq.quantize`` / ``odq.predict_partial``
+    / ``odq.mask`` / ``odq.full_result`` phases under it; the spans are
+    no-ops while tracing is off.
+    """
+    mpo = packed.wmat_full.shape[0]  # MACs per output feature: C_in*K*K
+    flops_per_row = packed.wmat_full.size
+    with trace.span("odq.run", layer=layer) as sp:
+        with trace.span("odq.quantize", layer=layer):
+            cache = make_cache()
+        scale = cache.qp_a.scale * w_scale
+        with trace.span("odq.predict_partial", layer=layer):
+            partial2d = _partial_2d(cache, packed, scale, bias2d)
+            partial = cache.to_nchw(partial2d)
+        with trace.span("odq.mask", layer=layer):
+            mask = mask_from_magnitude(partial, threshold)
+            # Row = one spatial output position; a row is computed by
+            # the sparse path when *any* of its channels is sensitive.
+            any_rows = mask.mask.any(axis=1).reshape(-1)
+            n_sense_rows = int(np.count_nonzero(any_rows))
+
+        path = path_mode
+        if path == "auto":
+            path = "sparse" if n_sense_rows <= crossover * cache.rows else "dense"
+
+        with trace.span("odq.full_result", layer=layer, path=path) as fsp:
+            if path == "dense":
+                full = cache.to_nchw(
+                    _full_2d(cache, cache.cols, packed, scale, bias2d)
+                )
+                out = np.where(mask.mask, full, partial)
+                rows_computed = cache.rows
+            else:
+                out2d = partial2d.copy() if keep_partial else partial2d
+                sel = np.flatnonzero(any_rows)
+                if sel.size:
+                    full_rows = _full_2d(
+                        cache, cache.full_rows(sel), packed, scale, bias2d
+                    )
+                    # Gather only the selected rows of the mask
+                    # ((R, C_out)) instead of transposing the whole
+                    # NCHW mask into row-major layout.
+                    ni, rem = np.divmod(sel, cache.oh * cache.ow)
+                    oi, oj = np.divmod(rem, cache.ow)
+                    mask_rows = mask.mask[ni, :, oi, oj]
+                    out2d[sel] = np.where(mask_rows, full_rows, out2d[sel])
+                full = None
+                out = cache.to_nchw(out2d)
+                rows_computed = n_sense_rows
+            fsp.add("rows", cache.rows)
+            fsp.add("rows_computed", rows_computed)
+            fsp.add("flops_full", rows_computed * flops_per_row)
+            fsp.add("flops_full_dense", cache.rows * flops_per_row)
+
+        sensitive = mask.sensitive_count
+        n_out = partial.size
+        # Where the MACs went (and the dense-INT4 work the insensitive
+        # outputs skipped).
+        sp.set(path=path)
+        sp.add("outputs", n_out)
+        sp.add("sensitive", sensitive)
+        sp.add("macs_pred", n_out * mpo)
+        sp.add("macs_exec", sensitive * mpo)
+        sp.add("macs_skipped", (n_out - sensitive) * mpo)
+    return Eq3Result(out, mask, sensitive, partial, full, path,
+                     rows_computed, cache)
 
 
 def odq_mixed_conv(
@@ -193,50 +302,22 @@ def odq_mixed_conv(
     # loops, notebook re-runs) hit the packed-operand store.
     packed = packed_store().get_or_pack(qw, qp_w, low_bits)
     kernel = weight.shape[2]
-    cache = ColumnCache(  # repro: noqa[PLN501] — pure-function API: no engine/plan owns a cache provider here
-        x, qp_a, kernel, stride, padding, low_bits, compensate_low_bits
+
+    def make_cache() -> ColumnCache:
+        return ColumnCache(  # repro: noqa[PLN501] — pure-function API: no engine/plan owns a cache provider here
+            x, qp_a, kernel, stride, padding, low_bits, compensate_low_bits
+        )
+
+    res = conv_eq3(
+        make_cache, packed, qp_w.scale,
+        None if bias is None else bias.reshape(1, -1),
+        threshold, exec_path, SPARSE_ROW_CROSSOVER, "odq_mixed_conv",
+        keep_partial=True,
     )
-    scale = qp_a.scale * qp_w.scale
-    bias2d = None if bias is None else bias.reshape(1, -1)
-
-    partial2d, hh2d = _partial_2d(cache, packed, scale)
-    if bias2d is not None:
-        partial2d = partial2d + bias2d
-    partial = cache.to_nchw(partial2d)
-    mask = mask_from_magnitude(partial, threshold)
-
-    any_rows = mask.mask.any(axis=1).reshape(-1)
-    n_sense_rows = int(np.count_nonzero(any_rows))
-    path = exec_path
-    if path == "auto":
-        path = ("sparse"
-                if n_sense_rows <= SPARSE_ROW_CROSSOVER * cache.rows
-                else "dense")
-
-    if path == "dense":
-        full2d = _dense_full_2d(cache, packed, scale)
-        if bias2d is not None:
-            full2d = full2d + bias2d
-        full = cache.to_nchw(full2d)
-        out = np.where(mask.mask, full, partial)
-    else:
-        out2d = partial2d.copy()
-        sel = np.flatnonzero(any_rows)
-        if sel.size:
-            full_rows = _sparse_full_rows(cache, packed, scale, sel)
-            if bias2d is not None:
-                full_rows = full_rows + bias2d
-            ni, rem = np.divmod(sel, cache.oh * cache.ow)
-            oi, oj = np.divmod(rem, cache.ow)
-            mask_rows = mask.mask[ni, :, oi, oj]
-            out2d[sel] = np.where(mask_rows, full_rows, out2d[sel])
-        full = None
-        out = cache.to_nchw(out2d)
-
-    result = {"out": out, "mask": mask, "partial": partial, "full": full,
-              "exec_path": path}
+    result = {"out": res.out, "mask": res.mask, "partial": res.partial,
+              "full": res.full, "exec_path": res.path}
     if with_cache:
-        result["cache"] = cache
+        result["cache"] = res.cache
         result["packed"] = packed
     return result
 
@@ -410,26 +491,8 @@ class ODQConvExecutor(ConvExecutor):
             self.compensate_low_bits if compensate is None else compensate,
         )
 
-    def _scale(self, cache: ColumnCache) -> float:
-        return cache.qp_a.scale * self.qp_w.scale
-
     def _bias2d(self) -> np.ndarray | None:
         return None if self.conv.bias is None else self.conv.bias.data.reshape(1, -1)
-
-    def _partial_pair(self, cache: ColumnCache) -> tuple[np.ndarray, np.ndarray]:
-        """(partial2d with bias, raw hh2d) — the predictor step on a cache."""
-        partial2d, hh2d = _partial_2d(cache, self._packed, self._scale(cache))
-        bias2d = self._bias2d()
-        if bias2d is not None:
-            partial2d = partial2d + bias2d
-        return partial2d, hh2d
-
-    def _dense_full(self, cache: ColumnCache) -> np.ndarray:
-        full2d = _dense_full_2d(cache, self._packed, self._scale(cache))
-        bias2d = self._bias2d()
-        if bias2d is not None:
-            full2d = full2d + bias2d
-        return cache.to_nchw(full2d)
 
     # -- the two-step inference -----------------------------------------------------
 
@@ -443,115 +506,66 @@ class ODQConvExecutor(ConvExecutor):
         """
         with trace.span("odq.quantize", layer=self.info.name):
             cache = self._build_cache(x)
-        partial2d, _ = self._partial_pair(cache)
-        return cache.to_nchw(partial2d)
+        scale = cache.qp_a.scale * self.qp_w.scale
+        return cache.to_nchw(_partial_2d(cache, self._packed, scale, self._bias2d()))
 
     def full_result(self, x: np.ndarray) -> np.ndarray:
         """Exact INT4 static-quantization output (predictor + all executor terms)."""
         # Standalone callers never read e_low, so skip measuring it.
         cache = self._build_cache(x, compensate=False)
-        return self._dense_full(cache)
+        scale = cache.qp_a.scale * self.qp_w.scale
+        return cache.to_nchw(
+            _full_2d(cache, cache.cols, self._packed, scale, self._bias2d())
+        )
 
     def run(self, x: np.ndarray) -> np.ndarray:
         if not self.frozen:
             raise RuntimeError(f"executor {self.info.name} not frozen; calibrate first")
         self._note_shapes(x)
-        name = self.info.name
-        c_out = self.info.out_channels
+        res = conv_eq3(
+            lambda: self._build_cache(x), self._packed, self.qp_w.scale,
+            self._bias2d(), self.effective_threshold, self.exec_path,
+            self.sparse_crossover, self.info.name,
+            keep_partial=self.collect_partials,
+        )
+        self.record.add_mask(res.mask)
+        if not self.keep_masks:
+            self.record.last_mask = None
+        self._note_run(res)
+        return res.out
+
+    def _note_run(self, res: Eq3Result) -> None:
+        """Record bookkeeping shared with the compiled plan's conv step.
+
+        Everything except the mask itself: partial samples, MACs by
+        precision class, and the result-generation census.  The
+        sensitive count is left to the caller (:meth:`run` keeps the
+        whole mask via ``add_mask``; the plan step adds the count only).
+        """
+        rec = self.record
+        if self.collect_partials:
+            flat = np.abs(res.partial).reshape(-1)
+            step = max(1, flat.size // 4096)
+            rec.extra.setdefault("partial_abs_samples", []).append(flat[::step])
         mpo = self.info.macs_per_output
-        ckk = self._packed.wmat_full.shape[0]
-
-        with trace.span("odq.run", layer=name) as sp:
-            with trace.span("odq.quantize", layer=name):
-                cache = self._build_cache(x)
-            with trace.span("odq.predict_partial", layer=name):
-                partial2d, _ = self._partial_pair(cache)
-                partial = cache.to_nchw(partial2d)
-            if self.collect_partials:
-                flat = np.abs(partial).reshape(-1)
-                step = max(1, flat.size // 4096)
-                self.record.extra.setdefault("partial_abs_samples", []).append(flat[::step])
-            with trace.span("odq.mask", layer=name):
-                mask = mask_from_magnitude(partial, self.effective_threshold)
-                # Row = one spatial output position; a row is computed by
-                # the sparse path when *any* of its channels is sensitive.
-                any_rows = mask.mask.any(axis=1).reshape(-1)
-                n_sense_rows = int(np.count_nonzero(any_rows))
-
-            path = self.exec_path
-            if path == "auto":
-                path = ("sparse"
-                        if n_sense_rows <= self.sparse_crossover * cache.rows
-                        else "dense")
-
-            with trace.span("odq.full_result", layer=name, path=path) as fsp:
-                if path == "dense":
-                    full = self._dense_full(cache)
-                    out = np.where(mask.mask, full, partial)
-                    rows_computed = cache.rows
-                    flops_full = cache.rows * ckk * c_out
-                else:
-                    # Scatter in place: ``partial`` is a view of
-                    # ``partial2d`` (see ColumnCache.to_nchw) and is not
-                    # read again after the mask, so no copy is needed.
-                    out2d = partial2d
-                    sel = np.flatnonzero(any_rows)
-                    if sel.size:
-                        full_rows = _sparse_full_rows(
-                            cache, self._packed, self._scale(cache), sel
-                        )
-                        bias2d = self._bias2d()
-                        if bias2d is not None:
-                            full_rows = full_rows + bias2d
-                        # Gather only the selected rows of the mask
-                        # ((R, C_out)) instead of transposing the whole
-                        # NCHW mask into row-major layout.
-                        ni, rem = np.divmod(sel, cache.oh * cache.ow)
-                        oi, oj = np.divmod(rem, cache.ow)
-                        mask_rows = mask.mask[ni, :, oi, oj]
-                        out2d[sel] = np.where(mask_rows, full_rows, out2d[sel])
-                    out = partial
-                    rows_computed = n_sense_rows
-                    flops_full = n_sense_rows * ckk * c_out
-                flops_full_dense = cache.rows * ckk * c_out
-                fsp.add("rows", cache.rows)
-                fsp.add("rows_computed", rows_computed)
-                fsp.add("flops_full", flops_full)
-                fsp.add("flops_full_dense", flops_full_dense)
-
-            self.record.add_mask(mask)
-            if not self.keep_masks:
-                self.record.last_mask = None
-            self._note_exec_path(path, cache.rows, rows_computed,
-                                 flops_full, flops_full_dense)
-            n_out = partial.size
-            # Predictor: one INT2 MAC stream over every output feature.
-            self.record.macs["pred_int2"] += n_out * mpo
-            # Executor: the remaining three cross terms, only for sensitive outputs.
-            self.record.macs["exec_int4"] += mask.sensitive_count * mpo
-            # Profiling counters: where the MACs went (and the dense-INT4
-            # work the insensitive outputs skipped).
-            sp.set(path=path)
-            sp.add("outputs", n_out)
-            sp.add("sensitive", mask.sensitive_count)
-            sp.add("macs_pred", n_out * mpo)
-            sp.add("macs_exec", mask.sensitive_count * mpo)
-            sp.add("macs_skipped", (n_out - mask.sensitive_count) * mpo)
-        return out
-
-    def _note_exec_path(self, path: str, rows: int, rows_computed: int,
-                        flops_full: int, flops_full_dense: int) -> None:
-        """Accumulate dispatch statistics on the layer record."""
-        extra = self.record.extra
+        # Predictor: one INT2 MAC stream over every output feature.
+        rec.macs["pred_int2"] += res.partial.size * mpo
+        # Executor: the remaining three cross terms, only for sensitive outputs.
+        rec.macs["exec_int4"] += res.sensitive * mpo
+        flops_per_row = self._packed.wmat_full.size
+        extra = rec.extra
         counts = extra.setdefault("exec_path_calls", {})
-        counts[path] = counts.get(path, 0) + 1
+        counts[res.path] = counts.get(res.path, 0) + 1
+        rows = res.cache.rows
         extra["exec_rows_total"] = extra.get("exec_rows_total", 0) + rows
         extra["exec_rows_computed"] = (
-            extra.get("exec_rows_computed", 0) + rows_computed
+            extra.get("exec_rows_computed", 0) + res.rows_computed
         )
-        extra["exec_flops_full"] = extra.get("exec_flops_full", 0) + flops_full
+        extra["exec_flops_full"] = (
+            extra.get("exec_flops_full", 0) + res.rows_computed * flops_per_row
+        )
         extra["exec_flops_full_dense"] = (
-            extra.get("exec_flops_full_dense", 0) + flops_full_dense
+            extra.get("exec_flops_full_dense", 0) + rows * flops_per_row
         )
 
     # -- introspection ---------------------------------------------------------------
@@ -563,6 +577,8 @@ class ODQConvExecutor(ConvExecutor):
 
 __all__ = [
     "ODQConvExecutor",
+    "conv_eq3",
+    "Eq3Result",
     "odq_mixed_conv",
     "odq_weight_qparams",
     "EXEC_PATHS",

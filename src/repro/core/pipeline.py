@@ -45,7 +45,7 @@ class InstrumentedConv(Module):
         if not calibrating:
             # Graph-mode plans: the model walks its own forward, but each
             # conv routes through its pre-bound plan step (frozen packed
-            # operands, frozen GEMM dispatch, precomputed auto compare).
+            # operands, bias and exec-path settings).
             plan = self.engine._active_plan
             if plan is not None:
                 step = plan.conv_steps.get(self.executor.info.name)

@@ -5,17 +5,13 @@ by tracing a single inference through the model and pre-binding, per
 layer, everything the hot path otherwise re-decides on every call:
 
 * packed weight operands (``PackedConvWeights`` frozen up front),
-* im2col geometry (output H/W, row counts) from the observed input shape,
-* the GEMM blocking decision, frozen via :func:`repro.core.gemm.plan_gemm`
-  into a :class:`~repro.core.gemm.GemmDispatch`,
-* the exec-path choice — ``auto`` reduced to one precomputed
-  row-count compare against ``sparse_crossover * rows``,
-* a shared :class:`~repro.core.gemm.DispatchGroup` per run of consecutive
-  sparse-capable conv layers, so the run amortizes dispatch bookkeeping
-  (thread-count/tuning snapshot, pool lookup) into one snapshot instead
-  of N per-call re-reads.  This batches the *dispatch*, not the GEMMs
-  themselves — consecutive layers are data-dependent, so their GEMMs
-  cannot be fused into one call.
+* the 2-D bias and the exec-path mode and crossover, so a conv step
+  calls the Eq. 3 kernel (:func:`repro.core.odq.conv_eq3`) directly,
+* the module walk itself: a flat plan replays numpy steps with no
+  Tensor tape.
+
+GEMMs go through :func:`repro.core.gemm.pgemm` like every other caller;
+its route decision is a few compares, so nothing about it is frozen.
 
 Two plan modes:
 
@@ -30,7 +26,7 @@ Two plan modes:
     The model's forward has structure a flat tape cannot honor
     (residual adds, concats, repeated modules).  The model walks its own
     Tensor graph as before, but every instrumented conv routes through
-    its pre-bound plan step, keeping the frozen operands and dispatch.
+    its pre-bound plan step, keeping the frozen operands.
 
 Bit-exactness contract
 ----------------------
@@ -55,10 +51,16 @@ Records: the planned conv fast path maintains ``sensitive_total``, MAC
 counters and the ``exec_*`` extras (everything serving reads).  It skips
 ``per_channel_sensitive`` / ``last_mask`` upkeep — those feed the
 accelerator mask dumps, which drive the unplanned ``forward()`` path.
+This is the one place the two paths' records differ, and it is
+deliberate: the accelerator simulator schedules a layer's executor pass
+from ``per_channel_sensitive`` when it is present, so filling it here
+would change the simulated cycles of planned inference.
 
-When tracing is enabled, planned conv steps delegate to ``executor.run``
-under the usual ``engine.layer`` span so profiles keep their span tree;
-the plan counts these as re-evaluated (vs frozen) dispatches.
+Tracing does not change the route: a fast conv step runs the same
+kernel under its own ``engine.layer`` span, and the kernel emits the
+``odq.*`` phase spans beneath it.  Only steps that cannot take the fast
+path (non-ODQ schemes, patched executors) call ``executor.run``; the
+plan counts those as re-evaluated.
 """
 
 from __future__ import annotations
@@ -66,8 +68,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import gemm
-from repro.core.masks import mask_from_magnitude
-from repro.core.odq import ODQConvExecutor
+from repro.core.odq import ODQConvExecutor, conv_eq3
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -139,7 +140,14 @@ class FlattenStep(PlanStep):
 
 class MaxPoolStep(PlanStep):
     """``F.max_pool2d`` forward only — skips the backward scatter-index
-    precompute (divmod + 4 index grids + zeros) the Tensor op pays."""
+    precompute (divmod + 4 index grids + zeros) the Tensor op pays.
+
+    The Tensor op copies the patches and takes their ``argmax``: the
+    first maximum in row-major window order, NaN counting as largest.
+    Walking the window offsets in that order and replacing only on a
+    strict win (or a first NaN) keeps the same element — sign of zero
+    included — without the copy or the gather.
+    """
 
     kind = "maxpool"
 
@@ -152,17 +160,16 @@ class MaxPoolStep(PlanStep):
         self.ow = (w - self.kernel) // self.stride + 1
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        n, c = x.shape[0], x.shape[1]
         k, s = self.kernel, self.stride
-        sn, sc, sh, sw = x.strides
-        patches = np.lib.stride_tricks.as_strided(
-            x,
-            shape=(n, c, self.oh, self.ow, k, k),
-            strides=(sn, sc, sh * s, sw * s, sh, sw),
-            writeable=False,
-        ).reshape(n, c, self.oh, self.ow, k * k)
-        arg = patches.argmax(axis=-1)
-        return np.take_along_axis(patches, arg[..., None], axis=-1)[..., 0]
+        span_h, span_w = s * (self.oh - 1) + 1, s * (self.ow - 1) + 1
+        best = x[:, :, :span_h:s, :span_w:s].copy()
+        for i in range(k):
+            for j in range(k):
+                if i or j:
+                    w = x[:, :, i:i + span_h:s, j:j + span_w:s]
+                    wins = (w > best) | (np.isnan(w) & ~np.isnan(best))
+                    np.copyto(best, w, where=wins)
+        return best
 
     def valid(self) -> bool:
         return (
@@ -221,7 +228,7 @@ class GlobalAvgPoolStep(PlanStep):
 
 
 class LinearStep(PlanStep):
-    """``F.linear`` with the GEMM route frozen by :func:`gemm.plan_gemm`."""
+    """``F.linear`` forward only: one :func:`gemm.pgemm` plus the bias."""
 
     kind = "linear"
 
@@ -229,14 +236,10 @@ class LinearStep(PlanStep):
         self.module = module
         self._w_src = module.weight.data
         self._b_src = None if module.bias is None else module.bias.data
-        m_rows, k = in_shape
-        n = module.out_features
-        self.dispatch = gemm.plan_gemm(
-            m_rows, k, n, self._w_src.dtype, b_sample=self._w_src.T
-        )
+        self.shape = [in_shape[0], in_shape[1], module.out_features]
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        out = self.dispatch.run(x, self.module.weight.data.T)
+        out = gemm.pgemm(x, self.module.weight.data.T)
         if self._b_src is not None:
             out = out + self._b_src
         return out
@@ -250,11 +253,7 @@ class LinearStep(PlanStep):
         return m.bias is not None and m.bias.data is self._b_src
 
     def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "shape": [self.dispatch.m, self.dispatch.k, self.dispatch.n],
-            "dispatch": self.dispatch.kind,
-        }
+        return {"kind": self.kind, "shape": self.shape}
 
 
 class BatchNormStep(PlanStep):
@@ -299,15 +298,12 @@ class BatchNormStep(PlanStep):
 class PlannedConvStep(PlanStep):
     """One instrumented conv with its per-call re-decisions pre-bound.
 
-    ``fast=True`` (an unpatched, frozen :class:`ODQConvExecutor`) runs a
-    streamlined mirror of ``ODQConvExecutor.run``: frozen packed
-    operands, frozen 2-D bias, one frozen :class:`GemmDispatch` for both
-    the predictor and dense GEMMs (same (rows, ckk, c_out) shape), the
-    ``auto`` branch reduced to one compare against a precomputed row
-    limit, and the sparse gather GEMM issued through the run's shared
-    :class:`DispatchGroup`.  Otherwise (non-ODQ scheme, subclass, or an
-    instance-level ``run`` monkeypatch) the step delegates to
-    ``executor.run`` — still profiting from the flat tape around it.
+    ``fast=True`` (an unpatched, frozen :class:`ODQConvExecutor`) calls
+    :func:`~repro.core.odq.conv_eq3` with the executor's packed operands,
+    2-D bias, exec-path mode and crossover bound at compile time.
+    Otherwise (non-ODQ scheme, subclass, or an instance-level ``run``
+    monkeypatch) the step delegates to ``executor.run`` — still
+    profiting from the flat tape around it.
     """
 
     kind = "conv"
@@ -320,28 +316,17 @@ class PlannedConvStep(PlanStep):
             and ex.frozen
             and "run" not in ex.__dict__
         )
-        self.sparse_group: gemm.DispatchGroup | None = None
         self.in_shape = tuple(in_shape)
         if not self.fast:
-            self.dispatch = None
             return
         n, _, h, w = in_shape
         oh, ow = ex.info.output_hw(h, w)
         self.rows = n * oh * ow
-        self.ckk = ex._packed.wmat_full.shape[0]
-        self.c_out = ex.info.out_channels
         self.packed = ex._packed
         self.bias2d = ex._bias2d()
         self._bias_src = None if ex.conv.bias is None else ex.conv.bias.data
         self.path_mode = ex.exec_path
         self.crossover = ex.sparse_crossover
-        # auto reduced to a single precomputed row-fraction compare.
-        self.row_limit = self.crossover * self.rows
-        self.shift_f = float(1 << self.packed.high_shift)
-        self.dispatch = gemm.plan_gemm(
-            self.rows, self.ckk, self.c_out, np.float64,
-            b_sample=self.packed.wmat_full,
-        )
 
     def valid(self) -> bool:
         ex = self.ex
@@ -362,81 +347,24 @@ class PlannedConvStep(PlanStep):
 
     def run(self, x: np.ndarray) -> np.ndarray:
         ex = self.ex
-        if not self.fast or trace.enabled():
-            self.counters["reevaluated"] += 1
-            if trace.enabled():
-                with trace.span("engine.layer", layer=ex.info.name, mode="run"):
-                    return ex.run(x)
-            return ex.run(x)
-        self.counters["frozen"] += 1
-        ex._note_shapes(x)
-        cache = ex._build_cache(x)
-        scale = cache.qp_a.scale * ex.qp_w.scale
-        packed = self.packed
-
-        hh2d = self.dispatch.run(cache.cols_high, packed.wmat_high)
-        partial2d = scale * (
-            hh2d * self.shift_f
-            + (cache.e_low - cache.qp_a.zero_point) * packed.w_sum
-        )
-        if self.bias2d is not None:
-            partial2d = partial2d + self.bias2d
-        partial = cache.to_nchw(partial2d)
-        if ex.collect_partials:
-            flat = np.abs(partial).reshape(-1)
-            step = max(1, flat.size // 4096)
-            ex.record.extra.setdefault("partial_abs_samples", []).append(flat[::step])
-
-        # Threshold is read per call (not frozen) so sweeps that mutate
-        # executor thresholds hit the planned path unchanged.
-        mask = mask_from_magnitude(partial, ex.effective_threshold)
-        any_rows = mask.mask.any(axis=1).reshape(-1)
-        n_sense_rows = int(np.count_nonzero(any_rows))
-
-        path = self.path_mode
-        if path == "auto":
-            path = "sparse" if n_sense_rows <= self.row_limit else "dense"
-
-        if path == "dense":
-            acc2d = self.dispatch.run(cache.cols, packed.wmat_full)
-            full2d = scale * (acc2d - cache.qp_a.zero_point * packed.w_sum)
-            if self.bias2d is not None:
-                full2d = full2d + self.bias2d
-            full = cache.to_nchw(full2d)
-            out = np.where(mask.mask, full, partial)
-            rows_computed = cache.rows
-            flops_full = cache.rows * self.ckk * self.c_out
-        else:
-            out2d = partial2d
-            sel = np.flatnonzero(any_rows)
-            if sel.size:
-                group = self.sparse_group
-                mm = gemm.pgemm if group is None else group.gemm
-                acc_rows = mm(cache.full_rows(sel), packed.wmat_full)
-                full_rows = scale * (
-                    acc_rows - cache.qp_a.zero_point * packed.w_sum
-                )
-                if self.bias2d is not None:
-                    full_rows = full_rows + self.bias2d
-                ni, rem = np.divmod(sel, cache.oh * cache.ow)
-                oi, oj = np.divmod(rem, cache.ow)
-                mask_rows = mask.mask[ni, :, oi, oj]
-                out2d[sel] = np.where(mask_rows, full_rows, out2d[sel])
-            out = partial
-            rows_computed = n_sense_rows
-            flops_full = n_sense_rows * self.ckk * self.c_out
-
-        rec = ex.record
-        rec.sensitive_total += mask.sensitive_count
-        ex._note_exec_path(
-            path, cache.rows, rows_computed, flops_full,
-            cache.rows * self.ckk * self.c_out,
-        )
-        mpo = ex.info.macs_per_output
-        n_out = partial.size
-        rec.macs["pred_int2"] += n_out * mpo
-        rec.macs["exec_int4"] += mask.sensitive_count * mpo
-        return out
+        with trace.span("engine.layer", layer=ex.info.name, mode="run"):
+            if not self.fast:
+                self.counters["reevaluated"] += 1
+                return ex.run(x)
+            self.counters["frozen"] += 1
+            ex._note_shapes(x)
+            # Threshold is read per call (not frozen) so sweeps that
+            # mutate executor thresholds hit the planned path unchanged.
+            res = conv_eq3(
+                lambda: ex._build_cache(x), self.packed, ex.qp_w.scale,
+                self.bias2d, ex.effective_threshold, self.path_mode,
+                self.crossover, ex.info.name,
+                keep_partial=ex.collect_partials,
+            )
+            # The count only: see "Records" in the module docstring.
+            ex.record.sensitive_total += res.sensitive
+            ex._note_run(res)
+            return res.out
 
     def describe(self) -> dict:
         d = {"kind": self.kind, "layer": self.ex.info.name, "fast": self.fast}
@@ -444,9 +372,7 @@ class PlannedConvStep(PlanStep):
             d.update(
                 path=self.path_mode,
                 rows=self.rows,
-                row_limit=self.row_limit if self.path_mode == "auto" else None,
-                dispatch=self.dispatch.kind,
-                sparse_batched=self.sparse_group is not None,
+                crossover=self.crossover if self.path_mode == "auto" else None,
             )
         return d
 
@@ -461,7 +387,7 @@ class InferencePlan:
     """A compiled, shape-specialized execution recipe for one engine."""
 
     def __init__(self, engine, input_shape, input_dtype, mode, steps,
-                 conv_steps, counters, sparse_groups) -> None:
+                 conv_steps, counters) -> None:
         self.engine = engine
         self.input_shape = tuple(input_shape)
         self.input_dtype = str(input_dtype)
@@ -469,7 +395,6 @@ class InferencePlan:
         self.steps = steps
         self.conv_steps = conv_steps  # name -> PlannedConvStep
         self.counters = counters  # {"frozen": n, "reevaluated": n}
-        self.sparse_groups = sparse_groups
         self.executions = 0
 
     def valid(self) -> bool:
@@ -504,7 +429,6 @@ class InferencePlan:
             "fast_conv_steps": sum(
                 1 for s in self.conv_steps.values() if s.fast
             ),
-            "sparse_batched_layers": sum(len(g) for g in self.sparse_groups),
             "executions": self.executions,
             "dispatch_frozen": self.counters["frozen"],
             "dispatch_reevaluated": self.counters["reevaluated"],
@@ -618,27 +542,6 @@ def _flat_step_for(entry, counters):
     return None
 
 
-def _link_sparse_groups(conv_steps_in_order) -> list:
-    """Give each run of >=2 consecutive sparse-capable fast conv steps a
-    shared DispatchGroup (one dispatch snapshot per run instead of N)."""
-    groups: list[list[PlannedConvStep]] = []
-    current: list[PlannedConvStep] = []
-    for step in conv_steps_in_order:
-        if step.fast and step.path_mode in ("sparse", "auto"):
-            current.append(step)
-        else:
-            if len(current) >= 2:
-                groups.append(current)
-            current = []
-    if len(current) >= 2:
-        groups.append(current)
-    for members in groups:
-        group = gemm.DispatchGroup()
-        for step in members:
-            step.sparse_group = group
-    return groups
-
-
 def compile_plan(engine, x: np.ndarray):
     """Compile a plan for ``engine`` specialized to ``x``'s shape/dtype.
 
@@ -671,11 +574,9 @@ def compile_plan(engine, x: np.ndarray):
         steps = []
         mode = "graph"
 
-    sparse_groups = _link_sparse_groups(conv_in_order)
     conv_steps = {step.ex.info.name: step for step in conv_in_order}
     plan = InferencePlan(
         engine, x.shape, x.dtype, mode, steps, conv_steps, counters,
-        sparse_groups,
     )
     return plan, out_t.data
 

@@ -419,10 +419,10 @@ class ProfileResult:
         """Compiled-plan table: steps, specialization traffic, dispatch.
 
         ``dispatch frozen`` counts conv executions that used their
-        pre-bound fast path; ``re-evaluated`` counts delegations back to
-        ``executor.run`` (always the case under tracing, which is why a
-        traced profile shows re-evaluated dispatches — span parity is
-        deliberate).
+        pre-bound fast path; ``re-evaluated`` counts conv steps that
+        could not take it (non-ODQ schemes, patched executors) and
+        called ``executor.run`` instead.  Tracing does not move a step
+        from one column to the other.
         """
         plan = self.plan
         if not plan:
@@ -440,7 +440,6 @@ class ProfileResult:
                 p.get("mode", "?"),
                 p.get("steps", 0),
                 f"{p.get('fast_conv_steps', 0)}/{p.get('conv_steps', 0)}",
-                p.get("sparse_batched_layers", 0),
                 p.get("executions", 0),
                 p.get("dispatch_frozen", 0),
                 p.get("dispatch_reevaluated", 0),
@@ -450,7 +449,7 @@ class ProfileResult:
         if not rows:
             return head
         table = ascii_table(
-            ["input", "mode", "steps", "fast convs", "sparse-batched",
+            ["input", "mode", "steps", "fast convs",
              "runs", "dispatch frozen", "re-evaluated"],
             rows,
             title="compiled inference plans (repro.core.plan)",
@@ -496,12 +495,10 @@ def profile_inference(
     executes the FP reference path, not the ODQ phases.
 
     With ``use_plan`` (the default) the compiled-plan table is appended
-    to the report.  Note that while the tracer is *collecting*, planned
-    conv steps delegate back to ``executor.run`` so the per-phase span
-    breakdown stays complete — the plan table will therefore count those
-    dispatches as re-evaluated, not frozen; the hit/compile traffic is
-    still representative.  ``use_plan=False`` (``--no-plan``) profiles
-    the legacy per-call path.
+    to the report.  Planned conv steps run the same Eq. 3 kernel whether
+    or not the tracer is collecting, so the profile times the path
+    serving runs and the per-phase spans still come from that kernel.
+    ``use_plan=False`` (``--no-plan``) profiles the legacy per-call path.
     """
     import time as _time
 

@@ -20,6 +20,12 @@ request is submitted to the active backend and the handler thread blocks
 on its future — ``ThreadingHTTPServer`` gives us one thread per in-flight
 request, which is exactly the producer model the backends expect.
 
+Bad input is refused before it reaches a batch: a negative or
+malformed ``Content-Length`` or a non-finite pixel answers **400**, a
+body over :data:`MAX_BODY_BYTES` answers **413** (neither is read, and
+the connection closes).  One bad image therefore cannot fail the other
+requests it would have been batched with.
+
 During shutdown the server *drains*: ``/predict`` (and ``/healthz``)
 answer **503** while requests already accepted finish on the workers.
 """
@@ -41,6 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Seconds a /predict handler waits on its future before giving up.
 PREDICT_TIMEOUT_SECONDS = 60.0
+
+#: Largest /predict body read, in bytes.  JSON costs ~20 bytes a pixel,
+#: so this holds a few hundred 32x32x3 images; larger batches get 413.
+MAX_BODY_BYTES = 16 << 20
 
 
 class ServingHTTPServer(ThreadingHTTPServer):
@@ -65,11 +75,17 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         if self.server.app.verbose:
             super().log_message(fmt, *args)
 
-    def _send_json(self, payload: dict, status: int = 200) -> None:
+    def _send_json(self, payload: dict, status: int = 200,
+                   close: bool = False) -> None:
         body = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # The request body was left unread: it must not be parsed
+            # as the next request on this keep-alive connection.
+            self.send_header("Connection", "close")
+            self.close_connection = True
         self.end_headers()
         self.wfile.write(body)
 
@@ -130,6 +146,18 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1  # unparseable: refused like a negative length
+        if length < 0:
+            self._send_json({"error": "bad Content-Length"}, 400, close=True)
+            return
+        if length > MAX_BODY_BYTES:
+            self._send_json(
+                {"error": f"body of {length} bytes exceeds {MAX_BODY_BYTES}"},
+                413, close=True,
+            )
+            return
+        try:
             payload = json.loads(self.rfile.read(length) or b"{}")
         except (ValueError, json.JSONDecodeError) as exc:
             self._send_json({"error": f"bad JSON body: {exc}"}, 400)
@@ -154,6 +182,8 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
             arr = np.asarray(raw, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise _ClientError(f"inputs are not a numeric array: {exc}") from None
+        if not np.isfinite(arr).all():
+            raise _ClientError("inputs must be finite numbers")
         if arr.ndim == 3:
             arr = arr[None]
         expected = app.session.input_shape
@@ -195,4 +225,9 @@ class _ClientError(ValueError):
     """A 400-class request problem."""
 
 
-__all__ = ["ServingHTTPServer", "ServeRequestHandler", "PREDICT_TIMEOUT_SECONDS"]
+__all__ = [
+    "ServingHTTPServer",
+    "ServeRequestHandler",
+    "PREDICT_TIMEOUT_SECONDS",
+    "MAX_BODY_BYTES",
+]

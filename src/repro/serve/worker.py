@@ -255,7 +255,7 @@ class WorkerPool:
         """Per-layer result-generation dispatch census over all workers.
 
         Sums the ``exec_*`` extras the ODQ executors record (see
-        :meth:`repro.core.odq.ODQConvExecutor._note_exec_path`): rows
+        :meth:`repro.core.odq.ODQConvExecutor._note_run`): rows
         seen vs rows actually computed by the chosen path, and how often
         each path (``dense``/``sparse``) was dispatched.  Layers that
         never ran an instrumented full-result step (non-ODQ schemes) are
