@@ -17,16 +17,21 @@ Usage::
 
 or from the CLI: ``repro check [paths] [--rules ...] [--format json]``.
 
+One engine: each file is parsed once, summarized (summaries cached by
+content), and joined into a project call graph; the per-file rules run
+on each parsed file and the whole-program rules (THR210/THR211/DTY110)
+on the graph, behind one suppression filter.
+
 Suppression: ``# repro: noqa[RULE] — <justification>`` on the flagged
 line.  The justification is mandatory (enforced by the ``SUP001`` meta
 rule) so every suppression documents why the invariant still holds.
 
-The analyzer is purely syntactic (stdlib ``ast`` + ``tokenize``), adds
+The analyzer reads source only (stdlib ``ast`` + ``tokenize``), adds
 zero runtime cost to inference/serving paths, and is wired into CI as
-the ``lint`` job next to ruff and mypy.
+one blocking step of the ``lint`` job.
 """
 
-from repro.checks.engine import run, run_source
+from repro.checks.engine import run, run_source, run_sources
 from repro.checks.findings import Finding, Severity
 from repro.checks.registry import RULES, Rule, families, iter_rules
 from repro.checks.report import render_json, render_text
@@ -34,6 +39,7 @@ from repro.checks.report import render_json, render_text
 __all__ = [
     "run",
     "run_source",
+    "run_sources",
     "Finding",
     "Severity",
     "Rule",

@@ -2,10 +2,11 @@
 
 Key = ``blake2b(source || analysis-version)``; value = the module's
 :class:`~repro.checks.analysis.summary.ModuleSummary` as JSON under
-``.repro-check-cache/``.  Because the whole-program phase runs purely
-from summaries, a warm cache turns an incremental ``repro check --deep
---changed`` into: hash every file, load every summary from disk, re-run
-only the (cheap) graph phases — no re-parsing, no re-extraction.
+``.repro-check-cache/``.  What a hit saves is summary *extraction*, not
+parsing: every file is still parsed once per run, because the per-file
+rules read its AST and suppression comments.  A warm ``repro check``
+therefore costs one parse per file, a hash and a JSON load per summary,
+and the graph phases.
 
 The cache is safe to delete at any time and safe to share between
 branches: keys are content hashes, so a stale entry can never be served

@@ -14,9 +14,9 @@ pseudo-roots so the roots regression test still sees them appear.
 to be held on *every* resolved path into a function —
 ``entry(f) = ∩ over call sites (entry(caller) ∪ site locks)``, with
 thread roots and externally-callable functions (no resolved callers)
-pinned to ∅.  This is what lets THR210 accept a helper that mutates
-shared state with the lock taken one call up, and what retires THR201's
-same-function-only view in deep mode.
+pinned to ∅.  This is what lets THR210 — and the per-file THR201 —
+accept a helper that mutates shared state with the lock taken one call
+up.
 """
 
 from __future__ import annotations

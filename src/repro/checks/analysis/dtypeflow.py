@@ -18,8 +18,8 @@ one-level ``call`` result.  This pass resolves those bases over the call
 graph — callee returns, params bound to caller arguments — and reports
 DTY110 wherever a resolved-**tainted** value reaches a ``pgemm``
 argument, anchored at the *tainting operation* with the sink named in
-the message.  That is what retires the name-heuristic
-DTY103: no identifier conventions, only provenance.
+the message: no identifier conventions, only provenance (the per-file
+DTY103 covers the bit-plane naming convention).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Any, Iterator
 from repro.checks.analysis.callgraph import CallGraph
 from repro.checks.analysis.project import FunctionRef, Project
 from repro.checks.findings import Finding, Severity
+from repro.checks.registry import rule
 
 _MAX_DEPTH = 6
 
@@ -253,6 +254,20 @@ class DtypeFlow:
         )
 
 
+@rule(
+    id="DTY110",
+    family="dtype",
+    severity=Severity.ERROR,
+    summary="tainted value reaches a GEMM operand across function boundaries",
+    invariant=(
+        "A value minted exact (quantize/bit-split/rint/astype(int64)) "
+        "that is narrowed, divided, or combined with a non-integral float "
+        "anywhere along its flow must never reach pgemm — the "
+        "verified exactness floor only holds for exact-integer operands.  "
+        "DTY103 keeps the per-file bit-plane name heuristic."
+    ),
+    scope="program",
+)
 def find_dtype_flow_violations(graph: CallGraph) -> Iterator[Finding]:
     """DTY110 over the whole project."""
     yield from DtypeFlow(graph).findings()

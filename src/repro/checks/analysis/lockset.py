@@ -29,6 +29,7 @@ from typing import Iterator
 
 from repro.checks.analysis.callgraph import CallGraph
 from repro.checks.findings import Finding, Severity
+from repro.checks.registry import rule
 
 
 @dataclass
@@ -62,6 +63,19 @@ def _fmt_locks(locks: frozenset[str]) -> str:
     return "{" + ", ".join(sorted(locks)) + "}" if locks else "{} (none)"
 
 
+@rule(
+    id="THR210",
+    family="threads",
+    severity=Severity.ERROR,
+    summary="shared state written from >=2 thread roots with no common lock",
+    invariant=(
+        "Every module-level mutable reachable from two thread roots (or a "
+        "thread root plus main) must have one lock that every write path "
+        "holds — locks acquired in callers count (Eraser-style lockset "
+        "intersection over the call graph)."
+    ),
+    scope="program",
+)
 def find_inconsistent_locksets(graph: CallGraph) -> Iterator[Finding]:
     """THR210 findings over the whole project."""
     for var, sites in sorted(_collect_writes(graph).items()):
@@ -148,6 +162,18 @@ def _acquired_before_edges(graph: CallGraph) -> list[_AcqEdge]:
     return list(edges.values())
 
 
+@rule(
+    id="THR211",
+    family="threads",
+    severity=Severity.ERROR,
+    summary="lock-order inversion (ABBA cycle in the acquired-before graph)",
+    invariant=(
+        "If thread 1 takes A then B (possibly through a call chain) and "
+        "thread 2 takes B then A, both can block forever; the "
+        "acquired-before graph over canonical locks must stay acyclic."
+    ),
+    scope="program",
+)
 def find_lock_order_inversions(graph: CallGraph) -> Iterator[Finding]:
     """THR211 findings: cycles in the acquired-before graph."""
     edges = _acquired_before_edges(graph)
@@ -207,43 +233,7 @@ def find_lock_order_inversions(graph: CallGraph) -> Iterator[Finding]:
     yield from findings
 
 
-def upgrade_thr201(
-    graph: CallGraph, findings: list[Finding]
-) -> list[Finding]:
-    """Drop THR201 findings whose statement provably runs under a lock
-    on every resolved call path (the call-graph upgrade of the rule)."""
-    kept: list[Finding] = []
-    for f in findings:
-        if f.rule != "THR201":
-            kept.append(f)
-            continue
-        ref = graph.project.enclosing_function(f.path, f.line)
-        if ref is not None and graph.entry_lockset(ref.fq):
-            continue  # a caller provably holds a lock here
-        kept.append(f)
-    return kept
-
-
-def upgrade_thr203(
-    graph: CallGraph, findings: list[Finding]
-) -> list[Finding]:
-    """Drop THR203 findings when a (transitive) caller carries the
-    PID-keyed fork-rebuild guard the same-file syntax could not see."""
-    kept: list[Finding] = []
-    for f in findings:
-        if f.rule != "THR203":
-            kept.append(f)
-            continue
-        ref = graph.project.enclosing_function(f.path, f.line)
-        if ref is not None and graph.ancestors_with_getpid(ref.fq):
-            continue
-        kept.append(f)
-    return kept
-
-
 __all__ = [
     "find_inconsistent_locksets",
     "find_lock_order_inversions",
-    "upgrade_thr201",
-    "upgrade_thr203",
 ]

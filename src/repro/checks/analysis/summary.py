@@ -15,8 +15,8 @@ need into a :class:`ModuleSummary` — a plain JSON-serializable record:
 
 Summaries deliberately contain **no AST nodes** so they can round-trip
 through the content-addressed cache (:mod:`repro.checks.analysis.cache`)
-— the whole-program phase runs entirely from summaries, which is what
-keeps warm incremental ``--deep`` runs fast.
+— the call graph is built from summaries alone, so a warm run skips
+their extraction.
 
 Lock canonicalization
 ---------------------
@@ -40,7 +40,7 @@ from typing import Any, Iterator
 from repro.checks import astutil
 
 #: Bump to invalidate every cached summary when the extraction changes.
-SUMMARY_VERSION = 3
+SUMMARY_VERSION = 4
 
 #: Callee terminal names that spawn a thread/process with ``target=``.
 _SPAWN_FACTORIES = frozenset({"Thread", "Process"})
@@ -218,8 +218,35 @@ class ModuleSummary:
 # extraction
 # --------------------------------------------------------------------------
 
-def _module_mutable_state(tree: ast.Module) -> tuple[dict[str, int], list[str]]:
-    """(mutable module-state names -> line, module-level lock names)."""
+#: Factory callees whose results are immutable (or self-synchronized) —
+#: module-level bindings of these are not mutable state.
+_IMMUTABLE_FACTORIES = frozenset({
+    "frozenset", "tuple", "int", "float", "str", "bool", "bytes",
+    "compile",            # re.compile
+    "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
+    "Event", "local",     # threading.* primitives / thread-local
+    "get_logger",         # repro.obs.log loggers are immutable
+    "namedtuple", "TypeVar", "getenv", "get", "Path", "getLogger",
+})
+
+#: Methods that mutate their receiver in place.
+_MUTATORS = frozenset({
+    "append", "extend", "add", "update", "clear", "pop", "popitem",
+    "popleft", "appendleft", "remove", "discard", "insert", "setdefault",
+    "move_to_end", "sort", "reverse",
+})
+
+
+def module_state(
+    tree: ast.Module, scalars: bool = True
+) -> tuple[dict[str, int], list[str]]:
+    """(mutable module-state names -> line, module-level lock names).
+
+    ``scalars`` also counts constant-initialized names (``_counter = 0``,
+    ``_pool = None``): they are shared state when a function rebinds
+    them via ``global``, and a write is only recorded under that
+    declaration, so never-rebound constants cost nothing.
+    """
     state: dict[str, int] = {}
     locks: list[str] = []
     for stmt in tree.body:
@@ -252,22 +279,62 @@ def _module_mutable_state(tree: ast.Module) -> tuple[dict[str, int], list[str]]:
                 mutable = True
             elif isinstance(value, ast.Call):
                 callee = astutil.terminal_name(value.func)
-                mutable = callee is not None and callee not in (
-                    "frozenset", "tuple", "int", "float", "str", "bool",
-                    "bytes", "compile", "Lock", "RLock", "Condition",
-                    "Semaphore", "BoundedSemaphore", "Event", "local",
-                    "get_logger", "namedtuple", "TypeVar", "getenv", "get",
-                    "Path", "getLogger",
-                )
+                mutable = callee is not None and callee not in _IMMUTABLE_FACTORIES
             elif isinstance(value, ast.Constant):
-                # Scalars (``_counter = 0``, ``_pool = None``) are shared
-                # state too when a function rebinds them via ``global`` —
-                # write recording still requires that declaration, so
-                # never-rebound constants cost nothing.
-                mutable = True
+                mutable = scalars
             if mutable:
                 state[t.id] = stmt.lineno
     return state, locks
+
+
+def global_names(func: ast.AST) -> set[str]:
+    """Names declared ``global`` anywhere inside ``func``."""
+    declared: set[str] = set()
+    for sub in ast.walk(func):
+        if isinstance(sub, ast.Global):
+            declared.update(sub.names)
+    return declared
+
+
+def state_writes(
+    node: ast.AST, state: dict[str, int], declared: set[str]
+) -> list[str]:
+    """The module-state names ``node`` writes, in target order.
+
+    Item/attribute stores and deletes (``_cache[k] = v``), mutator calls
+    (``_cache.pop(k)``), and — for names in ``declared`` (the enclosing
+    function's ``global`` names) — plain and tuple-unpack rebinds.
+    """
+    names: list[str] = []
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
+        targets = (
+            [node.target] if isinstance(node, ast.AugAssign) else node.targets
+        )
+        for t in targets:
+            if isinstance(t, (ast.Attribute, ast.Subscript)):
+                if isinstance(t.value, ast.Name) and t.value.id in state:
+                    names.append(t.value.id)
+            elif isinstance(node, ast.Delete):
+                continue  # only item/attribute deletes write state
+            elif isinstance(t, ast.Name):
+                if t.id in state and t.id in declared:
+                    names.append(t.id)
+            elif isinstance(t, ast.Tuple):
+                names.extend(
+                    el.id for el in t.elts
+                    if isinstance(el, ast.Name)
+                    and el.id in state and el.id in declared
+                )
+    elif isinstance(node, ast.Call):
+        f = node.func
+        if (
+            isinstance(f, ast.Attribute)
+            and f.attr in _MUTATORS
+            and isinstance(f.value, ast.Name)
+            and f.value.id in state
+        ):
+            names.append(f.value.id)
+    return names
 
 
 def _imports(tree: ast.Module, module: str) -> dict[str, str]:
@@ -487,6 +554,7 @@ class _FunctionExtractor:
         )
         #: local var -> class name (``x = ClassName(...)``)
         self.local_types: dict[str, str] = {}
+        self.declared = global_names(func)
 
     # -- dtype basis evaluation -------------------------------------------
 
@@ -681,46 +749,8 @@ class _FunctionExtractor:
                         self.out.acq_pairs.append([o, i, stmt.lineno])
 
     def _record_write(self, stmt: ast.stmt) -> None:
-        names: list[str] = []
-        if isinstance(stmt, (ast.Assign, ast.AugAssign)):
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            )
-            declared = self._global_names()
-            for t in targets:
-                if isinstance(t, (ast.Attribute, ast.Subscript)):
-                    base = t.value
-                    if isinstance(base, ast.Name) and base.id in self.module_state:
-                        names.append(base.id)
-                elif isinstance(t, ast.Name) and t.id in self.module_state:
-                    if t.id in declared:
-                        names.append(t.id)
-                elif isinstance(t, ast.Tuple):
-                    for el in t.elts:
-                        if (
-                            isinstance(el, ast.Name)
-                            and el.id in self.module_state
-                            and el.id in declared
-                        ):
-                            names.append(el.id)
-        elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-            call = stmt.value
-            f = call.func
-            if (
-                isinstance(f, ast.Attribute)
-                and f.attr in ("append", "extend", "add", "update", "clear",
-                               "pop", "popitem", "remove", "discard",
-                               "insert", "setdefault", "move_to_end")
-                and isinstance(f.value, ast.Name)
-                and f.value.id in self.module_state
-            ):
-                names.append(f.value.id)
-        elif isinstance(stmt, ast.Delete):
-            for t in stmt.targets:
-                if isinstance(t, (ast.Attribute, ast.Subscript)):
-                    base = t.value
-                    if isinstance(base, ast.Name) and base.id in self.module_state:
-                        names.append(base.id)
+        node = stmt.value if isinstance(stmt, ast.Expr) else stmt
+        names = state_writes(node, self.module_state, self.declared)
         if not names:
             return
         locks = self._locks_at(stmt)
@@ -728,13 +758,6 @@ class _FunctionExtractor:
             self.out.writes.append(
                 StateWrite(name=name, line=stmt.lineno, locks=locks)
             )
-
-    def _global_names(self) -> set[str]:
-        declared: set[str] = set()
-        for sub in ast.walk(self.func):
-            if isinstance(sub, ast.Global):
-                declared.update(sub.names)
-        return declared
 
     def _scan_calls(self, stmt: ast.stmt) -> None:
         self._scan_calls_exprs([stmt])
@@ -770,10 +793,16 @@ class _FunctionExtractor:
         self.out.calls.append(site)
 
 
-def summarize(module: str, path: str, tree: ast.Module) -> ModuleSummary:
+def summarize(
+    module: str,
+    path: str,
+    tree: ast.Module,
+    parents: dict[ast.AST, ast.AST] | None = None,
+) -> ModuleSummary:
     """Extract the whole-program facts for one parsed module."""
-    state, lock_names = _module_mutable_state(tree)
-    parents = astutil.parent_map(tree)
+    state, lock_names = module_state(tree)
+    if parents is None:
+        parents = astutil.parent_map(tree)
     out = ModuleSummary(module=module, path=path)
     out.imports = _imports(tree, module)
     out.state = state
@@ -792,6 +821,9 @@ __all__ = [
     "SUMMARY_VERSION",
     "NARROW_DTYPES",
     "GEMM_SINK_TERMINALS",
+    "module_state",
+    "global_names",
+    "state_writes",
     "CallSite",
     "StateWrite",
     "GemmCall",

@@ -36,23 +36,18 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--changed", action="store_true",
-        help="scan only .py files changed vs git HEAD (pre-commit mode); "
-        "outside a git work-tree this falls back to a full scan",
-    )
-    parser.add_argument(
-        "--deep", action="store_true",
-        help="also run the whole-program analyses (THR210/THR211/DTY110); "
-        "with --changed, shallow rules cover the changed subset while the "
-        "deep pass still sees the full tree (from the summary cache)",
+        help="run the per-file rules only on .py files changed vs git HEAD "
+        "(pre-commit mode); the whole-program rules still see every file "
+        "under the paths, from the summary cache.  Outside a git "
+        "work-tree this falls back to a full scan",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="summary-cache directory for --deep "
-        "(default: .repro-check-cache)",
+        help="summary-cache directory (default: .repro-check-cache)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="disable the --deep summary cache",
+        help="disable the summary cache",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -105,14 +100,12 @@ def _render_rule_list() -> str:
     for family, ids in families().items():
         lines.append(f"[{fam_titles.get(family, family)}]")
         for rule in iter_rules(ids):
-            marker = " [deep]" if rule.deep else ""
             lines.append(
-                f"  {rule.id}  ({rule.severity.value:<7}) {rule.summary}{marker}"
+                f"  {rule.id}  ({rule.severity.value:<7}) {rule.summary}"
             )
         lines.append("")
     lines.append("SUP001  (error  ) `# repro: noqa[RULE]` without a justification")
     lines.append("")
-    lines.append("rules marked [deep] need `repro check --deep` (whole-program)")
     lines.append("suppress with: <code>  # repro: noqa[RULE] — <why it is safe>")
     return "\n".join(lines)
 
@@ -138,11 +131,18 @@ def run_check(args: argparse.Namespace) -> int:
     if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
 
-    deep = getattr(args, "deep", False)
+    # Imported here, not at module level: every ``repro`` command builds
+    # its parser from this module, and only a scan needs the analysis
+    # package.
+    from repro.checks.analysis.cache import DEFAULT_CACHE_DIR, SummaryCache
+
+    cache = None
+    if not args.no_cache:
+        cache = SummaryCache(args.cache_dir or DEFAULT_CACHE_DIR)
     try:
         # Validate rule ids before touching the filesystem.
         list(iter_rules(rules))
-        shallow_paths: list[str] | None = None
+        changed = None
         if args.changed:
             changed = _changed_files(paths)
             if changed is None:
@@ -151,23 +151,8 @@ def run_check(args: argparse.Namespace) -> int:
                     "falling back to a full scan",
                     err=True,
                 )
-            elif not changed and not deep:
-                console("repro check: no changed .py files — nothing to scan")
-                return 0
-            else:
-                # Deep mode keeps the full roots for the whole-program
-                # pass; only the shallow per-file rules narrow to the
-                # changed subset.
-                if deep:
-                    shallow_paths = changed
-                else:
-                    paths = changed
         scanned = len(discover(paths))
-        if deep:
-            result = _run_deep(args, paths, rules, shallow_paths)
-            findings = result.findings
-        else:
-            findings = run(paths, rules=rules)
+        findings = run(paths, rules=rules, cache=cache, changed=changed)
     except KeyError as exc:
         console(f"repro check: error: {exc.args[0]}", err=True)
         return 2
@@ -184,25 +169,6 @@ def run_check(args: argparse.Namespace) -> int:
     else:
         console(render_text(findings, scanned))
     return 1 if findings else 0
-
-
-def _run_deep(
-    args: argparse.Namespace,
-    paths: Sequence[str],
-    rules: Sequence[str] | None,
-    shallow_paths: Sequence[str] | None,
-):
-    """Dispatch to the whole-program driver with the cache flags applied."""
-    from repro.checks.analysis import DEFAULT_CACHE_DIR, run_deep
-
-    cache_dir: str | None
-    if getattr(args, "no_cache", False):
-        cache_dir = None
-    else:
-        cache_dir = getattr(args, "cache_dir", None) or DEFAULT_CACHE_DIR
-    return run_deep(
-        paths, rules=rules, shallow_paths=shallow_paths, cache_dir=cache_dir
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -1,9 +1,17 @@
 """The :mod:`repro.checks` analysis engine.
 
-Drives the registered rules over a set of Python files: parse once per
-file into a :class:`FileContext` (AST + parent links + suppression
-table), run every selected rule, filter suppressed findings, and emit
-meta-findings for malformed suppressions.
+Drives the registered rules over a set of Python files in one pass:
+
+1. build the project — parse each file once into a :class:`FileContext`
+   (AST + parent links + suppression table) and summarize it, serving
+   the summary from the content-addressed cache when the source is
+   unchanged (:class:`~repro.checks.analysis.project.Project`);
+2. build the call graph over the summaries;
+3. run every selected rule — ``file`` rules on each context (they may
+   consult the call graph through ``ctx.graph``), ``program`` rules
+   (THR210/THR211/DTY110) once on the graph;
+4. drop suppressed findings through one filter, and emit meta-findings
+   for malformed suppressions and unparseable files.
 
 Suppression syntax
 ------------------
@@ -27,11 +35,16 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.checks.findings import Finding, Severity
 from repro.checks.registry import Rule, iter_rules
 from repro.checks import astutil
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.checks.analysis.callgraph import CallGraph
+    from repro.checks.analysis.cache import SummaryCache
+    from repro.checks.analysis.project import Project
 
 #: Meta-rule id for a suppression comment without a justification.
 SUP001 = "SUP001"
@@ -62,6 +75,8 @@ class FileContext:
     parents: dict = field(default_factory=dict)
     suppressions: dict = field(default_factory=dict)  #: line -> Suppression
     bad_suppressions: list = field(default_factory=list)
+    #: the run's call graph, set by the engine before any rule runs
+    graph: CallGraph | None = None
 
     @property
     def posix_path(self) -> str:
@@ -91,9 +106,6 @@ class FileContext:
             extra=dict(extra),
         )
 
-    def is_suppressed(self, finding: Finding) -> bool:
-        return suppression_covers(self.suppressions, finding)
-
 
 def suppression_covers(
     suppressions: dict[int, "Suppression"], finding: Finding
@@ -103,9 +115,9 @@ def suppression_covers(
     Scope is the **physical line only**: a ``# repro: noqa[RULE]`` on a
     decorator line covers just that line, never the decorated function's
     ``def`` line or body (pinned by the decorator regression fixtures in
-    ``tests/checks/test_engine.py``).  Deep (whole-program) findings go
-    through this same helper, so an interprocedural THR210/DTY110 report
-    is silenced only by a noqa on the exact anchored line.
+    ``tests/checks/test_engine.py``).  Whole-program findings go through
+    this same helper, so an interprocedural THR210/DTY110 report is
+    silenced only by a noqa on the exact anchored line.
     """
     sup = suppressions.get(finding.line)
     return sup is not None and finding.rule in sup.rule_ids
@@ -156,50 +168,6 @@ def make_context(source: str, path: str = "<string>") -> FileContext:
     )
 
 
-def _scan_context(ctx: FileContext, rules: Sequence[Rule]) -> list[Finding]:
-    findings: list[Finding] = []
-    # Meta-rule: suppression without justification (never suppressible).
-    for sup in ctx.bad_suppressions:
-        findings.append(
-            Finding(
-                rule=SUP001,
-                severity=Severity.ERROR,
-                path=ctx.path,
-                line=sup.line,
-                col=0,
-                message=(
-                    f"noqa[{','.join(sup.rule_ids)}] without a justification — "
-                    "append '— <why the invariant holds anyway>'"
-                ),
-                snippet=ctx.line_text(sup.line),
-            )
-        )
-    for r in rules:
-        if r.deep:
-            continue  # whole-program rules run in the analysis pass
-        if not r.applies_to(ctx.posix_path):
-            continue
-        for f in r.check(ctx):
-            if not ctx.is_suppressed(f):
-                findings.append(f)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def run_source(
-    source: str,
-    path: str = "src/repro/_snippet.py",
-    rules: Iterable[str] | None = None,
-) -> list[Finding]:
-    """Scan a source string (the fixture-test entry point)."""
-    selected = list(iter_rules(rules))
-    try:
-        ctx = make_context(source, path)
-    except SyntaxError as exc:
-        return [_syntax_finding(path, exc)]
-    return _scan_context(ctx, selected)
-
-
 def _syntax_finding(path: str, exc: SyntaxError) -> Finding:
     return Finding(
         rule="PARSE000",
@@ -230,25 +198,106 @@ def discover(paths: Sequence[str]) -> list[Path]:
 def run(
     paths: Sequence[str] | str,
     rules: Iterable[str] | None = None,
+    *,
+    cache: SummaryCache | None = None,
+    changed: Sequence[str] | None = None,
 ) -> list[Finding]:
     """Scan files/directories and return all unsuppressed findings.
 
     This is the importable API (``repro.checks.run(paths)``); the CLI is
     a thin wrapper that renders the result and maps it to an exit code.
+    ``cache`` serves unchanged modules' summaries.  ``changed`` narrows
+    the ``file`` rules to those files (``repro check --changed``); the
+    ``program`` rules always see every file under ``paths``.
     """
+    from repro.checks.analysis.project import Project  # imports this module
+
     if isinstance(paths, str):
         paths = [paths]
     selected = list(iter_rules(rules))
-    findings: list[Finding] = []
-    for file in discover(paths):
-        text = file.read_text(encoding="utf-8")
-        try:
-            ctx = make_context(text, str(file))
-        except SyntaxError as exc:
-            findings.append(_syntax_finding(str(file), exc))
+    project = Project.load(paths, cache=cache)
+    files = None
+    if changed is not None:
+        wanted = {Path(p).resolve() for p in changed}
+        files = {
+            p for p in (*project.files, *project.parse_failures)
+            if Path(p).resolve() in wanted
+        }
+    return _analyze(project, selected, files)
+
+
+def run_sources(
+    sources: Mapping[str, str],
+    rules: Iterable[str] | None = None,
+) -> list[Finding]:
+    """Scan in-memory ``{path: source}`` modules as one project."""
+    from repro.checks.analysis.project import Project  # imports this module
+
+    selected = list(iter_rules(rules))
+    return _analyze(Project.from_sources(sources), selected)
+
+
+def run_source(
+    source: str,
+    path: str = "src/repro/_snippet.py",
+    rules: Iterable[str] | None = None,
+) -> list[Finding]:
+    """Scan one source string (the fixture-test entry point)."""
+    return run_sources({path: source}, rules=rules)
+
+
+def _analyze(
+    project: Project,
+    rules: Sequence[Rule],
+    files: set[str] | None = None,
+) -> list[Finding]:
+    """Run ``rules`` over ``project``; ``file`` rules only on ``files``
+    (every file when ``None``)."""
+    from repro.checks.analysis.callgraph import CallGraph
+
+    graph = CallGraph.build(project)
+    contexts = [
+        ctx for path, ctx in project.files.items()
+        if files is None or path in files
+    ]
+    for ctx in contexts:
+        ctx.graph = graph
+    raw: list[Finding] = []
+    for r in rules:
+        if r.scope == "program":
+            raw.extend(r.check(graph))
             continue
-        findings.extend(_scan_context(ctx, selected))
+        for ctx in contexts:
+            if r.applies_to(ctx.posix_path):
+                raw.extend(r.check(ctx))
+    findings = [
+        f for f in raw
+        if not suppression_covers(project.files[f.path].suppressions, f)
+    ]
+    for ctx in contexts:
+        findings.extend(_bad_suppression_findings(ctx))
+    for path, exc in project.parse_failures.items():
+        if files is None or path in files:
+            findings.append(_syntax_finding(path, exc))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
+
+
+def _bad_suppression_findings(ctx: FileContext) -> Iterable[Finding]:
+    """SUP001 for each noqa without a justification (never suppressible)."""
+    for sup in ctx.bad_suppressions:
+        yield Finding(
+            rule=SUP001,
+            severity=Severity.ERROR,
+            path=ctx.path,
+            line=sup.line,
+            col=0,
+            message=(
+                f"noqa[{','.join(sup.rule_ids)}] without a justification — "
+                "append '— <why the invariant holds anyway>'"
+            ),
+            snippet=ctx.line_text(sup.line),
+        )
 
 
 __all__ = [
@@ -258,6 +307,7 @@ __all__ = [
     "make_context",
     "suppression_covers",
     "run",
+    "run_sources",
     "run_source",
     "discover",
 ]

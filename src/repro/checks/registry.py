@@ -1,24 +1,26 @@
 """Rule registry for :mod:`repro.checks`.
 
-A rule is a plain callable ``check(ctx) -> Iterable[Finding]`` wrapped in
-:class:`Rule` metadata (id, family, severity, what invariant it guards,
-and which paths are exempt).  Rules self-register at import time via the
-:func:`rule` decorator; :data:`RULES` is the id-ordered registry the
-engine and the CLI ``--list-rules`` output read.
+A rule is a plain callable wrapped in :class:`Rule` metadata (id,
+family, severity, what invariant it guards, and which paths are exempt).
+A ``file`` rule is ``check(ctx) -> Iterable[Finding]`` over one
+:class:`~repro.checks.engine.FileContext`; a ``program`` rule is
+``check(graph) -> Iterable[Finding]`` over the project's
+:class:`~repro.checks.analysis.callgraph.CallGraph`.  Rules
+self-register at import time via the :func:`rule` decorator;
+:data:`RULES` is the id-ordered registry the engine and the CLI
+``--list-rules`` output read.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.checks.findings import Finding, Severity
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.checks.engine import FileContext
-
-CheckFn = Callable[["FileContext"], Iterable[Finding]]
+#: ``check(ctx)`` for ``file`` rules, ``check(graph)`` for ``program`` rules.
+CheckFn = Callable[[Any], Iterable[Finding]]
 
 
 @dataclass(frozen=True)
@@ -34,10 +36,9 @@ class Rule:
     #: Path suffixes (``/``-separated, POSIX style) where the rule does
     #: not apply — e.g. the module that *implements* the guarded API.
     exempt_paths: tuple = field(default=())
-    #: Deep rules run in the whole-program analysis pass
-    #: (:mod:`repro.checks.analysis`), not the per-file scan; their
-    #: ``check`` is a stub and the engine skips them outside ``--deep``.
-    deep: bool = False
+    #: ``file``: run once per scanned file; ``program``: once per run,
+    #: over the call graph of every file under the scan roots.
+    scope: str = "file"
 
     def applies_to(self, posix_path: str) -> bool:
         return not any(posix_path.endswith(sfx) for sfx in self.exempt_paths)
@@ -59,7 +60,7 @@ def rule(
     summary: str,
     invariant: str,
     exempt_paths: tuple = (),
-    deep: bool = False,
+    scope: str = "file",
 ) -> Callable[[CheckFn], CheckFn]:
     """Register ``check`` under ``id``; returns the callable unchanged."""
 
@@ -75,7 +76,7 @@ def rule(
                 invariant=invariant,
                 check=check,
                 exempt_paths=tuple(exempt_paths),
-                deep=deep,
+                scope=scope,
             )
         return check
 

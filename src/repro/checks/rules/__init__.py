@@ -8,16 +8,18 @@ Four domain families, one id range each:
 * ``NUM4xx`` — numeric-safety (:mod:`repro.checks.rules.numeric`)
 * ``PLN5xx`` — plan/cache discipline (:mod:`repro.checks.rules.plan`)
 
-The whole-program (deep) successors — ``THR210``/``THR211`` lockset and
-deadlock analyses, the ``DTY110`` dtype-flow lattice — register their
-metadata in :mod:`repro.checks.rules.deep`; their logic runs from
-:mod:`repro.checks.analysis` under ``repro check --deep``.
+The ``program`` rules — ``THR210``/``THR211`` lockset and deadlock
+analyses, the ``DTY110`` dtype-flow lattice — register where they are
+implemented, in :mod:`repro.checks.analysis.lockset` and
+:mod:`repro.checks.analysis.dtypeflow`, and run once per scan on the
+call graph.
 
 Plus the engine-level meta rule ``SUP001`` (suppression without a
 justification), which lives in :mod:`repro.checks.engine` because it is
 emitted during comment parsing, before any rule runs.
 """
 
-from repro.checks.rules import deep, dtype, numeric, obs, plan, threadsafety
+from repro.checks.analysis import dtypeflow, lockset  # noqa: F401 — registers THR210/THR211/DTY110
+from repro.checks.rules import dtype, numeric, obs, plan, threadsafety
 
-__all__ = ["dtype", "threadsafety", "obs", "numeric", "plan", "deep"]
+__all__ = ["dtype", "threadsafety", "obs", "numeric", "plan"]

@@ -18,116 +18,14 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.checks.analysis.summary import global_names, module_state, state_writes
 from repro.checks.astutil import enclosing_function, in_with_lock, is_lockish, terminal_name
 from repro.checks.engine import FileContext
 from repro.checks.findings import Finding, Severity
 from repro.checks.registry import rule
 
-#: Factory callees whose results are immutable (or self-synchronized) —
-#: module-level bindings of these are not "mutable state".
-_IMMUTABLE_FACTORIES = frozenset({
-    "frozenset", "tuple", "int", "float", "str", "bool", "bytes",
-    "compile",            # re.compile
-    "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
-    "Event", "local",     # threading.* primitives / thread-local
-    "get_logger",         # repro.obs.log loggers are immutable
-    "namedtuple", "TypeVar", "getenv", "get", "Path", "getLogger",
-})
-
-#: Methods that mutate their receiver in place.
-_MUTATORS = frozenset({
-    "append", "extend", "add", "update", "clear", "pop", "popitem",
-    "popleft", "appendleft", "remove", "discard", "insert", "setdefault",
-    "move_to_end", "sort", "reverse",
-})
-
 _POOL_FACTORIES = ("ThreadPoolExecutor", "ProcessPoolExecutor", "ThreadPool",
                    "Pool")
-
-
-def _module_mutable_names(tree: ast.Module) -> dict[str, int]:
-    """Module-level names bound to mutable initializers -> def line."""
-    tracked: dict[str, int] = {}
-    for stmt in tree.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        if value is None:
-            continue
-        mutable = False
-        if isinstance(value, (ast.Dict, ast.List, ast.Set,
-                              ast.ListComp, ast.DictComp, ast.SetComp)):
-            mutable = True
-        elif isinstance(value, ast.Call):
-            callee = terminal_name(value.func)
-            mutable = callee is not None and callee not in _IMMUTABLE_FACTORIES
-        if not mutable:
-            continue
-        for t in targets:
-            if (
-                isinstance(t, ast.Name)
-                and not t.id.startswith("__")
-                and "lock" not in t.id.lower()
-            ):
-                tracked[t.id] = stmt.lineno
-    return tracked
-
-
-def _mutated_name(node: ast.AST, tracked: dict[str, int]) -> str | None:
-    """The tracked module-level name this node mutates, if any."""
-    if isinstance(node, (ast.Assign, ast.AugAssign)):
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        for t in targets:
-            if isinstance(t, (ast.Attribute, ast.Subscript)):
-                base = t.value
-                if isinstance(base, ast.Name) and base.id in tracked:
-                    return base.id
-            elif (
-                isinstance(node, ast.AugAssign)
-                and isinstance(t, ast.Name)
-                and t.id in tracked
-            ):
-                return t.id
-    elif isinstance(node, ast.Call):
-        f = node.func
-        if (
-            isinstance(f, ast.Attribute)
-            and f.attr in _MUTATORS
-            and isinstance(f.value, ast.Name)
-            and f.value.id in tracked
-        ):
-            return f.value.id
-    elif isinstance(node, ast.Delete):
-        for t in node.targets:
-            if isinstance(t, (ast.Attribute, ast.Subscript)):
-                base = t.value
-                if isinstance(base, ast.Name) and base.id in tracked:
-                    return base.id
-    return None
-
-
-def _global_rebind(node: ast.AST, tracked: dict[str, int],
-                   func: ast.FunctionDef | ast.AsyncFunctionDef) -> str | None:
-    """A ``global``-declared rebind of a tracked name inside ``func``."""
-    if not isinstance(node, ast.Assign):
-        return None
-    declared: set[str] = set()
-    for sub in ast.walk(func):
-        if isinstance(sub, ast.Global):
-            declared.update(sub.names)
-    for t in node.targets:
-        if isinstance(t, ast.Name) and t.id in tracked and t.id in declared:
-            return t.id
-    # Tuple-unpack rebinds (``a, _x, _y = ..., None, None``).
-    for t in node.targets:
-        if isinstance(t, ast.Tuple):
-            for el in t.elts:
-                if isinstance(el, ast.Name) and el.id in tracked and el.id in declared:
-                    return el.id
-    return None
 
 
 @rule(
@@ -138,29 +36,33 @@ def _global_rebind(node: ast.AST, tracked: dict[str, int],
     invariant=(
         "Process-wide singletons (gemm pool stats, logger registry, "
         "logging config) are shared by serving worker threads; every "
-        "mutation must hold the owning lock, as repro.core.gemm and "
-        "repro.obs.log do."
+        "mutation must hold the owning lock — taken in place or by every "
+        "resolved caller — as repro.core.gemm and repro.obs.log do."
     ),
 )
 def check_unlocked_module_state(ctx: FileContext) -> Iterator[Finding]:
-    tracked = _module_mutable_names(ctx.tree)
+    tracked, _ = module_state(ctx.tree, scalars=False)
     if not tracked:
         return
+    declared: dict[ast.AST, set[str]] = {}
     for node in ast.walk(ctx.tree):
+        if not isinstance(node, (ast.Assign, ast.AugAssign, ast.Call, ast.Delete)):
+            continue
         func = enclosing_function(node, ctx.parents)
         if func is None:
             continue  # import-time initialization is single-threaded
-        name = _mutated_name(node, tracked)
-        if name is None:
-            name = _global_rebind(node, tracked, func)
-        if name is None:
+        if func not in declared:
+            declared[func] = global_names(func)
+        names = state_writes(node, tracked, declared[func])
+        if not names or in_with_lock(node, ctx.parents):
             continue
-        if in_with_lock(node, ctx.parents):
-            continue
+        ref = ctx.graph.project.enclosing_function(ctx.path, node.lineno)
+        if ref is not None and ctx.graph.entry_lockset(ref.fq):
+            continue  # every resolved caller enters with a lock held
         yield ctx.finding(
             "THR201", node,
-            f"module-level mutable `{name}` (defined at line "
-            f"{tracked[name]}) mutated outside a `with <lock>:` block — "
+            f"module-level mutable `{names[0]}` (defined at line "
+            f"{tracked[names[0]]}) mutated outside a `with <lock>:` block — "
             "guard with the owning lock or make it thread-local",
         )
 
@@ -238,8 +140,9 @@ def check_bare_acquire(ctx: FileContext) -> Iterator[Finding]:
     summary="module-level thread pool without the PID-keyed fork-rebuild pattern",
     invariant=(
         "Worker threads do not survive fork(); a module-global pool must "
-        "detect the PID change and rebuild (see repro.core.gemm._get_pool), "
-        "or forked servers hang on a dead pool."
+        "detect the PID change and rebuild — in the same file or in a "
+        "calling function (see repro.core.gemm._get_pool) — or forked "
+        "servers hang on a dead pool."
     ),
 )
 def check_pool_fork_safety(ctx: FileContext) -> Iterator[Finding]:
@@ -259,23 +162,22 @@ def check_pool_fork_safety(ctx: FileContext) -> Iterator[Finding]:
         ):
             continue
         func = enclosing_function(node, ctx.parents)
-        module_global = func is None
         if func is not None:
-            declared: set[str] = set()
-            for sub in ast.walk(func):
-                if isinstance(sub, ast.Global):
-                    declared.update(sub.names)
-            module_global = any(
+            declared = global_names(func)
+            if not any(
                 isinstance(t, ast.Name) and t.id in declared
                 for t in node.targets
-            )
-        if module_global:
-            yield ctx.finding(
-                "THR203", node,
-                "module-global thread pool built without a PID-keyed "
-                "fork-rebuild guard — compare os.getpid() against the "
-                "pid recorded at construction (see repro.core.gemm)",
-            )
+            ):
+                continue  # a local pool, not module-global
+            ref = ctx.graph.project.enclosing_function(ctx.path, node.lineno)
+            if ref is not None and ctx.graph.ancestors_with_getpid(ref.fq):
+                continue  # a (transitive) caller carries the PID guard
+        yield ctx.finding(
+            "THR203", node,
+            "module-global thread pool built without a PID-keyed "
+            "fork-rebuild guard — compare os.getpid() against the "
+            "pid recorded at construction (see repro.core.gemm)",
+        )
 
 
 def _try_closes(try_node: ast.Try) -> bool:

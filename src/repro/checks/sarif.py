@@ -1,8 +1,9 @@
 """SARIF 2.1.0 emission for ``repro check --format sarif``.
 
 Targets the subset GitHub code scanning consumes: one run, one tool
-driver carrying the full rule registry (so every rule — deep or shallow
-— shows up in the code-scanning rule list even before it first fires),
+driver carrying the full rule registry (so every rule — per-file or
+whole-program — shows up in the code-scanning rule list even before it
+first fires),
 and one ``result`` per finding with a ``physicalLocation`` anchored at
 the finding's line/column.
 
@@ -29,7 +30,7 @@ _LEVEL = {Severity.ERROR: "error", Severity.WARNING: "warning"}
 
 def _rule_descriptor(rule) -> dict:
     summary = rule.summary
-    if rule.deep:
+    if rule.scope == "program":
         summary = f"{summary} [whole-program]"
     return {
         "id": rule.id,
@@ -41,7 +42,7 @@ def _rule_descriptor(rule) -> dict:
         },
         "properties": {
             "family": rule.family,
-            "deep": rule.deep,
+            "scope": rule.scope,
         },
     }
 

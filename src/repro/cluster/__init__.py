@@ -3,7 +3,7 @@
 ``repro.cluster`` scales :mod:`repro.serve` past the GIL: *N* replica
 processes each run a full engine (:mod:`~repro.cluster.worker`), fed
 through shared-memory arenas (:mod:`~repro.cluster.shm`) and routed by
-a consistent-hash ring plus mask-aware placement
+a consistent-hash ring plus least-outstanding-images placement
 (:mod:`~repro.cluster.hashring`, :mod:`~repro.cluster.sizing`).  The
 :class:`~repro.cluster.router.ClusterPool` facade mirrors the
 in-process ``WorkerPool`` (submit a batch, get a future), and the
@@ -24,7 +24,6 @@ from repro.cluster.shm import STATS_FIELDS, ShmArena, ShmSegment, ShmStatsBlock
 from repro.cluster.sizing import (
     autoscale_hint,
     place_chunks,
-    predicted_chunk_cost,
     recommended_gemm_threads,
     recommended_replicas,
     usable_cores,
@@ -54,5 +53,4 @@ __all__ = [
     "recommended_gemm_threads",
     "autoscale_hint",
     "place_chunks",
-    "predicted_chunk_cost",
 ]

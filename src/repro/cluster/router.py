@@ -1,4 +1,4 @@
-"""The cluster router: deterministic sharding, work-aware placement.
+"""The cluster router: deterministic sharding, load-aware placement.
 
 :class:`ClusterPool` is the process-parallel sibling of
 :class:`repro.serve.worker.WorkerPool`: the front end submits NumPy
@@ -18,14 +18,17 @@ Correctness contract — **bit-exact scaling**
     deterministically from the same config), so ``--replicas 8`` equals
     ``--replicas 1`` byte for byte.  ``repro bench-serve`` gates on it.
 
-Scheduling — **mask-aware placement**
+Scheduling — **least-outstanding-images placement**
     *Which* replica runs a chunk is load-dependent: placement equalizes
-    predicted sensitive-row work (:func:`repro.cluster.sizing.place_chunks`),
-    using the executor census the replicas publish through the shared
-    stats block.  Submissions carrying an ``affinity`` key instead pin
-    to the consistent-hash ring owner (session caches stay warm on one
-    replica), falling over along the ring's preference order when the
-    owner is draining or down.
+    the images each replica has queued or in flight
+    (:func:`repro.cluster.sizing.place_chunks`).  The executor census
+    the replicas publish through the shared stats block is observability
+    only (``sensitive_ratio()``, the ``cluster_sensitive_ratio`` gauge):
+    one cluster-wide ratio scales every replica's load alike, so it
+    cannot change a placement.  Submissions carrying an ``affinity`` key
+    instead pin to the consistent-hash ring owner (session caches stay
+    warm on one replica), falling over along the ring's preference order
+    when the owner is draining or down.
 
 Fault tolerance
     Each replica has exactly one router I/O thread that owns its control
@@ -50,7 +53,7 @@ import numpy as np
 
 from repro.cluster.hashring import HashRing
 from repro.cluster.shm import STATS_FIELDS
-from repro.cluster.sizing import place_chunks, predicted_chunk_cost
+from repro.cluster.sizing import place_chunks
 from repro.cluster.supervisor import ReplicaHandle, Supervisor, slot_floats_for
 from repro.obs import trace
 from repro.obs.log import get_logger
@@ -156,12 +159,11 @@ class _ReplicaIO:
     def __post_init__(self):
         self.free_slots = list(range(self.slots))
 
-    def outstanding_cost(self, sensitive_ratio: float) -> float:
-        """Predicted work queued + in flight (caller holds no lock)."""
+    def outstanding_images(self) -> int:
+        """Images queued + in flight (caller holds no lock)."""
         with self.lock:
-            counts = [c.images for c in self.queue if isinstance(c, _Chunk)]
-            counts += [c.images for c, _slot in self.inflight.values()]
-        return sum(predicted_chunk_cost(n, sensitive_ratio) for n in counts)
+            queued = sum(c.images for c in self.queue if isinstance(c, _Chunk))
+            return queued + sum(c.images for c, _slot in self.inflight.values())
 
 
 class ClusterPool:
@@ -377,11 +379,8 @@ class ClusterPool:
                 if rid in candidates:
                     return [rid] * len(chunks)
             return [candidates[0]] * len(chunks)
-        ratio = self.sensitive_ratio()
-        loads = [
-            self._replicas[rid].outstanding_cost(ratio) for rid in candidates
-        ]
-        local = place_chunks([c.images for c in chunks], loads, ratio)
+        loads = [self._replicas[rid].outstanding_images() for rid in candidates]
+        local = place_chunks([c.images for c in chunks], loads)
         return [candidates[i] for i in local]
 
     def sensitive_ratio(self) -> float:
@@ -605,9 +604,8 @@ class ClusterPool:
             for chunk in chunks:
                 chunk.submission.fail(exc)
             return
-        ratio = self.sensitive_ratio()
-        loads = [self._replicas[r].outstanding_cost(ratio) for r in survivors]
-        placement = place_chunks([c.images for c in chunks], loads, ratio)
+        loads = [self._replicas[r].outstanding_images() for r in survivors]
+        placement = place_chunks([c.images for c in chunks], loads)
         for chunk, local in zip(chunks, placement):
             target = self._replicas[survivors[local]]
             with target.lock:

@@ -1,4 +1,4 @@
-"""Replica sizing and mask-aware chunk placement (pure functions).
+"""Replica sizing and chunk placement (pure functions).
 
 Two decisions live here, both deliberately free of I/O so they are unit
 testable and auditable:
@@ -9,15 +9,13 @@ testable and auditable:
   restrict the affinity mask well below ``os.cpu_count()``), and
   :func:`autoscale_hint` nudges it using the observed per-replica busy
   fractions the shared stats block exposes.
-* **Which replica should run this chunk?**  :func:`place_chunks`
-  balances *predicted sensitive-row work*, not request counts: ODQ's
-  cost per image is dominated by the executor phase, which only
-  computes the sensitive output rows, so a chunk's predicted cost is
-  ``images * (PREDICT_COST + sensitive_ratio)`` — the INT2 prediction
-  pass everyone pays plus the census-measured sensitive fraction
-  (:func:`predicted_chunk_cost`).  Placement is greedy
-  longest-processing-time onto the least-loaded replica, seeded with
-  each replica's current outstanding work.
+* **Which replica should run this chunk?**  :func:`place_chunks` does
+  greedy longest-processing-time placement onto the replica with the
+  fewest outstanding (queued + in-flight) images.  Images are the whole
+  signal: an ODQ image's cost does scale with the sensitive-row ratio,
+  but the router only knows one cluster-wide ratio, and scaling every
+  load by the same positive factor cannot change which replica is least
+  loaded.
 
 Chunk *boundaries* are none of this module's business: the router cuts
 deterministic fixed-size chunks (see ``router.py`` — ODQ quantization
@@ -29,13 +27,6 @@ load).  Only *placement* is load-dependent.
 from __future__ import annotations
 
 import os
-
-#: Relative cost of the always-paid prediction phase (INT2 partials over
-#: every output) per image, in units of "full-result rows per output".
-#: The executor phase then costs ``sensitive_ratio`` on top: a 0.3-dense
-#: layer costs ~0.55 of a dense layer, matching the BENCH_odq_sparse
-#: crossover region.
-PREDICT_COST = 0.25
 
 #: Cap on the derived replica default — past this the per-replica
 #: session builds and shared-memory arenas cost more than the extra
@@ -90,35 +81,22 @@ def autoscale_hint(busy_fractions: list[float], replicas: int,
     return replicas
 
 
-def predicted_chunk_cost(images: int, sensitive_ratio: float) -> float:
-    """Predicted relative cost of inferring ``images`` on one replica.
-
-    ``sensitive_ratio`` is the census-measured fraction of output rows
-    the executor actually computes (``sens_rows_computed /
-    sens_rows_total``); 1.0 (dense) when no census exists yet.
-    """
-    ratio = sensitive_ratio if 0.0 <= sensitive_ratio <= 1.0 else 1.0
-    return float(images) * (PREDICT_COST + ratio)
-
-
 def place_chunks(
     chunk_images: list[int],
-    replica_loads: list[float],
-    sensitive_ratio: float = 1.0,
+    replica_images: list[int],
 ) -> list[int]:
-    """Assign each chunk to a replica, equalizing predicted work.
+    """Assign each chunk to a replica, equalizing outstanding images.
 
     ``chunk_images[i]`` is the image count of chunk *i*;
-    ``replica_loads[r]`` the replica's current outstanding predicted
-    work (queued + in-flight chunk costs, plus any busy-fraction bias
-    the router folds in).  Greedy LPT: place chunks largest-first onto
-    the currently least-loaded replica; ties break on the lower replica
-    id so placement is deterministic.  Returns the replica index per
-    chunk, in the original chunk order.
+    ``replica_images[r]`` the images replica *r* already has queued or
+    in flight.  Greedy LPT: place chunks largest-first onto the replica
+    with the fewest images; ties break on the lower replica id so
+    placement is deterministic.  Returns the replica index per chunk,
+    in the original chunk order.
     """
-    if not replica_loads:
+    if not replica_images:
         raise ValueError("no replicas to place onto")
-    loads = [float(x) for x in replica_loads]
+    loads = list(replica_images)
     order = sorted(
         range(len(chunk_images)), key=lambda i: (-chunk_images[i], i)
     )
@@ -126,17 +104,15 @@ def place_chunks(
     for i in order:
         target = min(range(len(loads)), key=lambda r: (loads[r], r))
         assignment[i] = target
-        loads[target] += predicted_chunk_cost(chunk_images[i], sensitive_ratio)
+        loads[target] += chunk_images[i]
     return assignment
 
 
 __all__ = [
-    "PREDICT_COST",
     "MAX_DEFAULT_REPLICAS",
     "usable_cores",
     "recommended_replicas",
     "recommended_gemm_threads",
     "autoscale_hint",
-    "predicted_chunk_cost",
     "place_chunks",
 ]

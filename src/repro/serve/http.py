@@ -21,10 +21,13 @@ on its future — ``ThreadingHTTPServer`` gives us one thread per in-flight
 request, which is exactly the producer model the backends expect.
 
 Bad input is refused before it reaches a batch: a negative or
-malformed ``Content-Length`` or a non-finite pixel answers **400**, a
-body over :data:`MAX_BODY_BYTES` answers **413** (neither is read, and
-the connection closes).  One bad image therefore cannot fail the other
-requests it would have been batched with.
+malformed ``Content-Length``, a non-finite pixel or a wrong image shape
+answers **400**, a body over :data:`MAX_BODY_BYTES` answers **413**
+(neither body-length case is read, and the connection closes).  The
+pixel and shape checks are :meth:`InferenceServer.validate_inputs
+<repro.serve.server.InferenceServer.validate_inputs>`, which ``submit``
+also runs for in-process callers.  One bad image therefore cannot fail
+the other requests it would have been batched with.
 
 During shutdown the server *drains*: ``/predict`` (and ``/healthz``)
 answer **503** while requests already accepted finish on the workers.
@@ -37,8 +40,6 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING
 from urllib.parse import parse_qs, urlparse
-
-import numpy as np
 
 from repro.obs import trace
 
@@ -179,19 +180,11 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
         if raw is None:
             raise _ClientError('missing "inputs" (N×C×H×W) or "input" (C×H×W)')
         try:
-            arr = np.asarray(raw, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise _ClientError(f"inputs are not a numeric array: {exc}") from None
-        if not np.isfinite(arr).all():
-            raise _ClientError("inputs must be finite numbers")
-        if arr.ndim == 3:
-            arr = arr[None]
-        expected = app.session.input_shape
-        if arr.ndim != 4 or arr.shape[1:] != expected:
-            raise _ClientError(
-                f"expected images of shape {tuple(expected)} "
-                f"(got array of shape {arr.shape})"
-            )
+            # The same check ``app.submit`` runs; done first so a bad
+            # body is refused before anything reaches the backend.
+            arr = app.validate_inputs(raw)
+        except ValueError as exc:
+            raise _ClientError(str(exc)) from None
 
         affinity = payload.get("session")
         if affinity is not None and not isinstance(affinity, str):

@@ -197,8 +197,35 @@ class InferenceServer:
 
     # -- request dispatch ---------------------------------------------------
 
+    def validate_inputs(self, inputs) -> np.ndarray:
+        """One request batch as a float64 ``(n, C, H, W)`` array.
+
+        Raises ``ValueError`` for input that is not numeric, not finite,
+        or not shaped like the served model's images (a single ``(C, H,
+        W)`` image is promoted to a batch of one).  :meth:`submit` calls
+        it before anything is enqueued, so a bad request fails alone
+        instead of failing every request co-batched with it; the HTTP
+        handler maps the error to a 400.
+        """
+        try:
+            arr = np.asarray(inputs, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"inputs are not a numeric array: {exc}") from None
+        if not np.isfinite(arr).all():
+            raise ValueError("inputs must be finite numbers")
+        if arr.ndim == 3:
+            arr = arr[None]
+        expected = self.session.input_shape
+        if arr.ndim != 4 or arr.shape[1:] != expected:
+            raise ValueError(
+                f"expected images of shape {tuple(expected)} "
+                f"(got array of shape {arr.shape})"
+            )
+        return arr
+
     def submit(self, arr: np.ndarray, affinity: str | None = None, ctx=None):
-        """Route a request batch to the active backend; returns a Future.
+        """Validate a request batch and route it to the active backend;
+        returns a Future (``ValueError`` from :meth:`validate_inputs`).
 
         ``affinity`` (an opaque client session key) only matters in
         cluster mode, where it pins the request to its consistent-hash
@@ -207,6 +234,7 @@ class InferenceServer:
         :class:`~repro.obs.trace.TraceContext` (or ``None``), threaded
         through so backend spans parent under the HTTP request span.
         """
+        arr = self.validate_inputs(arr)
         if self.cluster is not None:
             return self.cluster.submit(arr, affinity=affinity, ctx=ctx)
         return self.batcher.submit(arr, ctx=ctx)

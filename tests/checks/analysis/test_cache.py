@@ -4,9 +4,10 @@ import ast
 import json
 import time
 
+from repro.checks import engine, run
+from repro.checks.analysis import project as project_mod
 from repro.checks.analysis.cache import SummaryCache, source_digest
 from repro.checks.analysis.summary import SUMMARY_VERSION, summarize
-from repro.checks.analysis import run_deep
 
 
 SRC_A = "def f():\n    pass\n"
@@ -61,26 +62,30 @@ class TestWarmRuns:
             )
         return str(tmp_path / "src")
 
+    def _run(self, root, cache_dir):
+        cache = SummaryCache(cache_dir)
+        run([root], cache=cache)
+        return cache.stats()
+
     def test_second_run_is_all_hits(self, tmp_path, monkeypatch):
         root = self._tree(tmp_path)
         monkeypatch.chdir(tmp_path)
         cache_dir = str(tmp_path / ".repro-check-cache")
-        first = run_deep([root], cache_dir=cache_dir)
-        assert first.cache_stats["misses"] > 0
-        second = run_deep([root], cache_dir=cache_dir)
-        assert second.cache_stats["misses"] == 0
-        assert second.cache_stats["hits"] == first.cache_stats["misses"]
+        first = self._run(root, cache_dir)
+        assert first["misses"] > 0
+        second = self._run(root, cache_dir)
+        assert second["misses"] == 0
+        assert second["hits"] == first["misses"]
 
     def test_editing_one_file_reparses_only_it(self, tmp_path, monkeypatch):
         root = self._tree(tmp_path)
         monkeypatch.chdir(tmp_path)
         cache_dir = str(tmp_path / ".repro-check-cache")
-        run_deep([root], cache_dir=cache_dir)
+        self._run(root, cache_dir)
         (tmp_path / "src" / "repro" / "demo" / "m0.py").write_text(
             "def f0(x):\n    return x - 1\n"
         )
-        result = run_deep([root], cache_dir=cache_dir)
-        assert result.cache_stats["misses"] == 1
+        assert self._run(root, cache_dir)["misses"] == 1
 
     def test_warm_incremental_run_is_fast(self, tmp_path, monkeypatch):
         # The acceptance bar is <2s on the real tree; a small fixture
@@ -88,16 +93,35 @@ class TestWarmRuns:
         root = self._tree(tmp_path)
         monkeypatch.chdir(tmp_path)
         cache_dir = str(tmp_path / ".repro-check-cache")
-        run_deep([root], cache_dir=cache_dir)
+        self._run(root, cache_dir)
         t0 = time.perf_counter()
-        result = run_deep([root], cache_dir=cache_dir)
+        stats = self._run(root, cache_dir)
         elapsed = time.perf_counter() - t0
-        assert result.cache_stats["misses"] == 0
+        assert stats["misses"] == 0
         assert elapsed < 2.0
 
     def test_no_cache_dir_disables_caching(self, tmp_path, monkeypatch):
         root = self._tree(tmp_path)
         monkeypatch.chdir(tmp_path)
-        result = run_deep([root], cache_dir=None)
-        assert result.cache_stats == {}
+        run([root])
         assert not (tmp_path / ".repro-check-cache").exists()
+
+    def test_one_parse_per_file_cold_and_warm(self, tmp_path, monkeypatch):
+        root = self._tree(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        parsed = []
+
+        def counting(source, path="<string>"):
+            parsed.append(path)
+            return real(source, path)
+
+        real = engine.make_context
+        monkeypatch.setattr(engine, "make_context", counting)
+        monkeypatch.setattr(project_mod, "make_context", counting)
+        cache_dir = str(tmp_path / ".repro-check-cache")
+        for expected_misses in (12, 0):  # cold, then warm
+            parsed.clear()
+            stats = self._run(root, cache_dir)
+            assert stats["misses"] == expected_misses
+            assert sorted(parsed) == sorted(set(parsed))
+            assert len(parsed) == 12

@@ -1,11 +1,19 @@
-"""Deep-rule fixtures: every positive has a negative twin.
+"""Whole-program rule fixtures: every positive has a negative twin.
 
 THR210 — inconsistent lockset on shared mutable state.
 THR211 — lock-order inversion (ABBA).
 DTY110 — exactness taint reaching a GEMM operand across functions.
 """
 
-from repro.checks.analysis import run_deep_sources
+from repro.checks import run_sources
+
+#: The whole-program rules these fixtures exercise; the per-file rules
+#: have their own fixture suites.
+PROGRAM_RULES = ["THR210", "THR211", "DTY110"]
+
+
+def scan(sources):
+    return run_sources(sources, rules=PROGRAM_RULES)
 
 
 def rules_of(findings):
@@ -40,7 +48,7 @@ def start():
     threading.Thread(target=locked_bump).start()
     threading.Thread(target=unlocked_bump).start()
 """
-        findings = run_deep_sources({"src/repro/demo/state.py": src})
+        findings = scan({"src/repro/demo/state.py": src})
         assert rules_of(findings) == ["THR210"]
         f = findings[0]
         # Anchored at the least-protected write (the unlocked one).
@@ -70,7 +78,7 @@ def start():
     threading.Thread(target=bump_a).start()
     threading.Thread(target=bump_b).start()
 """
-        assert run_deep_sources({"src/repro/demo/state.py": src}) == []
+        assert scan({"src/repro/demo/state.py": src}) == []
 
     def test_single_root_without_main_writer_is_clean(self):
         # One thread root, no main-path writer: no concurrency, no race.
@@ -86,7 +94,7 @@ def bump():
 def start():
     threading.Thread(target=bump).start()
 """
-        assert run_deep_sources({"src/repro/demo/state.py": src}) == []
+        assert scan({"src/repro/demo/state.py": src}) == []
 
     def test_root_plus_main_writer_fires(self):
         src = THREADING_HEADER + """
@@ -106,7 +114,7 @@ def main_path_reset():
 def start():
     threading.Thread(target=bump).start()
 """
-        findings = run_deep_sources({"src/repro/demo/state.py": src})
+        findings = scan({"src/repro/demo/state.py": src})
         assert rules_of(findings) == ["THR210"]
         assert "main" in findings[0].message
 
@@ -135,7 +143,7 @@ def start():
     threading.Thread(target=writer_a).start()
     threading.Thread(target=writer_b).start()
 """
-        assert run_deep_sources({"src/repro/demo/state.py": src}) == []
+        assert scan({"src/repro/demo/state.py": src}) == []
 
     def test_one_unlocked_call_path_defeats_entry_lockset(self):
         src = THREADING_HEADER + """
@@ -159,7 +167,7 @@ def start():
     threading.Thread(target=writer_a).start()
     threading.Thread(target=writer_b).start()
 """
-        findings = run_deep_sources({"src/repro/demo/state.py": src})
+        findings = scan({"src/repro/demo/state.py": src})
         assert rules_of(findings) == ["THR210"]
 
     def test_cross_module_write_sites(self):
@@ -187,7 +195,7 @@ def start():
     threading.Thread(target=locked_put).start()
     threading.Thread(target=unlocked_put).start()
 """
-        findings = run_deep_sources(
+        findings = scan(
             {
                 "src/repro/demo/writers.py": writers,
                 "src/repro/demo/spawn.py": spawner,
@@ -216,7 +224,7 @@ def start():
     threading.Thread(target=locked_bump).start()
     threading.Thread(target=unlocked_bump).start()
 """
-        assert run_deep_sources({"src/repro/demo/state.py": src}) == []
+        assert scan({"src/repro/demo/state.py": src}) == []
 
 
 LOCKS_HEADER = """
@@ -241,7 +249,7 @@ def backward():
         with _a:
             pass
 """
-        findings = run_deep_sources({"src/repro/demo/locks.py": src})
+        findings = scan({"src/repro/demo/locks.py": src})
         assert rules_of(findings) == ["THR211"]
         assert "lock-order inversion" in findings[0].message
         assert "_a" in findings[0].message and "_b" in findings[0].message
@@ -259,7 +267,7 @@ def also_forward():
         with _b:
             pass
 """
-        assert run_deep_sources({"src/repro/demo/locks.py": src}) == []
+        assert scan({"src/repro/demo/locks.py": src}) == []
 
     def test_abba_through_call_chain_fires(self):
         # Neither function nests two `with` blocks; the inversion only
@@ -284,7 +292,7 @@ def backward():
     with _b:
         take_a()
 """
-        findings = run_deep_sources({"src/repro/demo/locks.py": src})
+        findings = scan({"src/repro/demo/locks.py": src})
         assert rules_of(findings) == ["THR211"]
 
     def test_call_chain_consistent_order_is_clean(self):
@@ -303,7 +311,7 @@ def also_forward():
     with _a:
         take_b()
 """
-        assert run_deep_sources({"src/repro/demo/locks.py": src}) == []
+        assert scan({"src/repro/demo/locks.py": src}) == []
 
     def test_single_lock_reentry_not_reported(self):
         # A -> A is not an inversion (RLock reentry / sequential blocks).
@@ -314,7 +322,7 @@ def f():
     with _a:
         pass
 """
-        assert run_deep_sources({"src/repro/demo/locks.py": src}) == []
+        assert scan({"src/repro/demo/locks.py": src}) == []
 
     def test_one_finding_per_distinct_cycle(self):
         src = LOCKS_HEADER + """
@@ -335,7 +343,7 @@ def backward_again():
         with _a:
             pass
 """
-        findings = run_deep_sources({"src/repro/demo/locks.py": src})
+        findings = scan({"src/repro/demo/locks.py": src})
         assert rules_of(findings) == ["THR211"]
 
 
@@ -358,7 +366,7 @@ def run(x, w):
     a = prep(x)
     return pgemm(a, w)
 """
-        findings = run_deep_sources({"src/repro/demo/flow.py": src})
+        findings = scan({"src/repro/demo/flow.py": src})
         assert rules_of(findings) == ["DTY110"]
         f = findings[0]
         # Anchored at the taint point (the astype), naming the sink.
@@ -376,7 +384,7 @@ def run(x, w):
     a = prep(x)
     return pgemm(a, w)
 """
-        assert run_deep_sources({"src/repro/demo/flow.py": src}) == []
+        assert scan({"src/repro/demo/flow.py": src}) == []
 
     def test_no_exact_provenance_is_clean(self):
         # Plain float math into pgemm is the normal fp32/fp64 path; only
@@ -386,7 +394,7 @@ def run(x, w):
     a = x / 3.0
     return pgemm(a, w)
 """
-        assert run_deep_sources({"src/repro/demo/flow.py": src}) == []
+        assert scan({"src/repro/demo/flow.py": src}) == []
 
     def test_division_of_exact_value_fires(self):
         src = GEMM_IMPORT + """
@@ -395,7 +403,7 @@ def run(x, w):
     a = q / 3
     return pgemm(a, w)
 """
-        findings = run_deep_sources({"src/repro/demo/flow.py": src})
+        findings = scan({"src/repro/demo/flow.py": src})
         assert rules_of(findings) == ["DTY110"]
         assert "division" in findings[0].message
 
@@ -410,7 +418,7 @@ def run(x, w):
     bad = q.astype(np.float32)
     return do_gemm(bad, w)
 """
-        findings = run_deep_sources({"src/repro/demo/flow.py": src})
+        findings = scan({"src/repro/demo/flow.py": src})
         assert rules_of(findings) == ["DTY110"]
 
     def test_exact_argument_into_gemm_calling_helper_is_clean(self):
@@ -423,7 +431,7 @@ def run(x, w):
     q = quantize_tensor(x)
     return do_gemm(q, w)
 """
-        assert run_deep_sources({"src/repro/demo/flow.py": src}) == []
+        assert scan({"src/repro/demo/flow.py": src}) == []
 
     def test_value_preserving_reshape_keeps_exactness(self):
         src = GEMM_IMPORT + """
@@ -432,7 +440,7 @@ def run(x, w):
     a = np.ascontiguousarray(q.reshape(4, -1))
     return pgemm(a, w)
 """
-        assert run_deep_sources({"src/repro/demo/flow.py": src}) == []
+        assert scan({"src/repro/demo/flow.py": src}) == []
 
     def test_cross_module_taint_flow(self):
         prep = """
@@ -452,7 +460,7 @@ def run(x, w):
     a = prep(x)
     return pgemm(a, w)
 """
-        findings = run_deep_sources(
+        findings = scan(
             {
                 "src/repro/demo/prep.py": prep,
                 "src/repro/demo/runner.py": runner,

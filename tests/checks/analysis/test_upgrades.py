@@ -1,8 +1,8 @@
-"""Call-graph upgrades of the shallow rules under --deep.
+"""Call-graph facts the per-file THR201/THR203 rules consult.
 
-THR201 (unlocked mutation) is dropped when the mutating function's
+THR201 (unlocked mutation) stays quiet when the mutating function's
 must-hold entry lockset proves a caller always holds the lock; THR203
-(pool without fork guard) is dropped when a transitive caller carries
+(pool without fork guard) stays quiet when a transitive caller carries
 the ``os.getpid()`` probe.  Each upgrade has a negative twin proving the
 finding survives when the call-graph fact is absent.
 """
@@ -11,7 +11,7 @@ import textwrap
 
 import pytest
 
-from repro.checks.analysis import run_deep
+from repro import checks
 
 
 @pytest.fixture
@@ -23,8 +23,7 @@ def tree(tmp_path):
 
 def _scan(tree, source: str) -> list:
     (tree / "mod.py").write_text(textwrap.dedent(source))
-    result = run_deep([str(tree)], cache_dir=None)
-    return result.findings
+    return checks.run([str(tree)])
 
 
 def rules_of(findings) -> list[str]:
@@ -123,6 +122,42 @@ class TestThr203Upgrade:
             return _POOL
         """)
         assert "THR203" not in rules_of(findings)
+
+    def test_guard_in_calling_module_is_dropped(self):
+        # The pool module itself has no getpid probe; its only caller,
+        # in another module, carries the guard.
+        pool = textwrap.dedent("""
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = None
+
+
+        def _make_pool():
+            global _POOL
+            _POOL = ThreadPoolExecutor(max_workers=4)
+            return _POOL
+        """)
+        guard = textwrap.dedent("""
+        import os
+
+        from repro.demo.pool import _make_pool
+
+        _PID = None
+
+
+        def get_pool():
+            global _PID
+            if _PID != os.getpid():
+                _PID = os.getpid()
+                return _make_pool()
+        """)
+        sources = {
+            "src/repro/demo/pool.py": pool,
+            "src/repro/demo/guard.py": guard,
+        }
+        assert "THR203" not in rules_of(checks.run_sources(sources))
+        alone = {"src/repro/demo/pool.py": pool}
+        assert "THR203" in rules_of(checks.run_sources(alone))
 
     def test_no_guard_anywhere_keeps_the_finding(self, tree):
         findings = _scan(tree, """

@@ -1,15 +1,17 @@
 """The analyzer's strongest regression test: the repo itself is clean.
 
 Every invariant rule runs over the installed ``repro`` package; any new
-unguarded reduction, unrouted GEMM, unlocked module mutation, or bare
-print() introduced by a future change fails this test — the same signal
-the CI ``lint`` job and the pre-commit hook enforce at the edges.
+unguarded reduction, unrouted GEMM, unlocked module mutation, bare
+print(), race, lock-order inversion or exactness leak introduced by a
+future change fails this test — the same signal the CI ``lint`` job and
+the pre-commit hook enforce at the edges.
 """
 
 from pathlib import Path
 
 import repro
 from repro import checks
+from repro.checks.analysis.cache import SummaryCache
 from repro.checks.engine import SUP001, make_context
 
 SRC = Path(repro.__file__).parent
@@ -39,15 +41,17 @@ def test_sup001_meta_rule_cannot_be_suppressed():
     assert SUP001 in [f.rule for f in findings]
 
 
-def test_deep_self_scan_is_clean():
-    """The whole-program analyses agree: no races, inversions, or
-    exactness leaks across the real call graph (acceptance bar for
-    ``repro check --deep src``)."""
-    from repro.checks.analysis import run_deep
-
-    result = run_deep([str(SRC)], cache_dir=None)
-    rendered = "\n".join(f.render() for f in result.findings)
-    assert result.findings == [], f"deep scan found violations:\n{rendered}"
+def test_deep_self_scan_is_clean(tmp_path):
+    """The whole-program rules see the same clean tree from cached
+    summaries: a warm run (every summary a cache hit) agrees with the
+    cold one, so the summary JSON round-trip loses nothing they use."""
+    cache_dir = str(tmp_path / "summary-cache")
+    for expect_misses in (True, False):  # cold, then warm
+        cache = SummaryCache(cache_dir)
+        findings = checks.run([str(SRC)], cache=cache)
+        rendered = "\n".join(f.render() for f in findings)
+        assert findings == [], f"repro check found violations:\n{rendered}"
+        assert (cache.stats()["misses"] > 0) is expect_misses
 
 
 def test_registry_is_complete_and_well_formed():

@@ -1,4 +1,4 @@
-"""Sizing and mask-aware placement (pure-function tier)."""
+"""Sizing and least-outstanding-images placement (pure-function tier)."""
 
 from __future__ import annotations
 
@@ -6,10 +6,8 @@ import pytest
 
 from repro.cluster.sizing import (
     MAX_DEFAULT_REPLICAS,
-    PREDICT_COST,
     autoscale_hint,
     place_chunks,
-    predicted_chunk_cost,
     recommended_gemm_threads,
     recommended_replicas,
     usable_cores,
@@ -47,47 +45,39 @@ class TestAutoscaleHint:
         assert autoscale_hint([], replicas=3, cores=4) == 3
 
 
-class TestPredictedCost:
-    def test_scales_with_images_and_density(self):
-        dense = predicted_chunk_cost(8, 1.0)
-        sparse = predicted_chunk_cost(8, 0.1)
-        assert dense == 8 * (PREDICT_COST + 1.0)
-        assert sparse < dense
-        assert predicted_chunk_cost(16, 0.5) == 2 * predicted_chunk_cost(8, 0.5)
-
-    def test_out_of_range_ratio_clamps_to_dense(self):
-        assert predicted_chunk_cost(4, -0.5) == predicted_chunk_cost(4, 1.0)
-        assert predicted_chunk_cost(4, 3.0) == predicted_chunk_cost(4, 1.0)
-
-
 class TestPlacement:
     def test_balances_equal_chunks_round_robin(self):
-        out = place_chunks([4, 4, 4, 4], [0.0, 0.0])
+        out = place_chunks([4, 4, 4, 4], [0, 0])
         assert sorted(out) == [0, 0, 1, 1]
 
     def test_prefers_less_loaded_replica(self):
         # Replica 0 starts with outstanding work; all new chunks should
         # land on replica 1 until the loads even out.
-        out = place_chunks([4], [100.0, 0.0])
+        out = place_chunks([4], [100, 0])
         assert out == [1]
+
+    def test_seeded_with_outstanding_images(self):
+        # Replica 0 has 3 images in flight: the first chunk goes to the
+        # idle replica 1, the second back to replica 0 (3 < 4).
+        assert place_chunks([4, 4], [3, 0]) == [1, 0]
 
     def test_lpt_equalizes_predicted_work(self):
         sizes = [8, 1, 1, 1, 1, 8, 2, 2]
-        out = place_chunks(sizes, [0.0, 0.0], sensitive_ratio=1.0)
-        loads = [0.0, 0.0]
+        out = place_chunks(sizes, [0, 0])
+        loads = [0, 0]
         for size, rep in zip(sizes, out):
-            loads[rep] += predicted_chunk_cost(size, 1.0)
-        assert abs(loads[0] - loads[1]) <= predicted_chunk_cost(2, 1.0)
+            loads[rep] += size
+        assert abs(loads[0] - loads[1]) <= 2
 
     def test_deterministic(self):
         sizes = [3, 7, 2, 9, 4, 4]
-        a = place_chunks(sizes, [0.0, 0.0, 0.0], 0.4)
-        b = place_chunks(sizes, [0.0, 0.0, 0.0], 0.4)
+        a = place_chunks(sizes, [0, 0, 0])
+        b = place_chunks(sizes, [0, 0, 0])
         assert a == b
 
     def test_result_in_original_chunk_order(self):
         sizes = [1, 9]
-        out = place_chunks(sizes, [0.0, 0.0])
+        out = place_chunks(sizes, [0, 0])
         assert len(out) == 2
         # The big chunk (index 1) is placed first (LPT) but reported at
         # its original position.

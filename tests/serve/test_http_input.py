@@ -100,3 +100,24 @@ class TestNonFiniteInputs:
         assert status == 200
         assert body["batch"] == 1
         assert submits == [(1,) + tuple(server.session.input_shape)]
+
+
+class TestInProcessSubmit:
+    """``submit`` runs the same validator, so an in-process caller's bad
+    batch is refused alone instead of failing its co-batched neighbours."""
+
+    @pytest.mark.parametrize("bad", ["shape", "nan"])
+    def test_bad_request_fails_alone(self, server, bad):
+        good = np.array(server.session.sample_inputs[:1], dtype=np.float64)
+        if bad == "shape":
+            arr = np.zeros((1, 3, 32, 32))
+        else:
+            arr = good.copy()
+            arr.flat[5] = np.nan
+        first = server.submit(good)
+        with pytest.raises(ValueError):
+            server.submit(arr)
+        second = server.submit(good)
+        for fut in (first, second):
+            logits = fut.result(timeout=30)
+            assert logits.shape[0] == 1 and np.isfinite(logits).all()
