@@ -262,8 +262,8 @@ class DtypeFlow:
     invariant=(
         "A value minted exact (quantize/bit-split/rint/astype(int64)) "
         "that is narrowed, divided, or combined with a non-integral float "
-        "anywhere along its flow must never reach pgemm — the "
-        "verified exactness floor only holds for exact-integer operands.  "
+        "anywhere along its flow must never reach pgemm — float64 GEMMs "
+        "are exact in any summation order only for exact-integer operands.  "
         "DTY103 keeps the per-file bit-plane name heuristic."
     ),
     scope="program",

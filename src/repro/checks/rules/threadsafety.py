@@ -2,12 +2,12 @@
 
 Invariants (``src/repro/core/gemm.py``, ``repro/obs/log.py``,
 ``repro/serve/``, ``repro/cluster/``): process-wide singletons — the
-GEMM pool, the logging config, metric registries, session caches — are
-shared across serving worker threads.  Every mutation of module-level
-mutable state must happen under its owning lock, every manual
-``acquire`` must have a guaranteed ``release``, any module-level thread
-pool must rebuild itself after ``fork`` (the PID-keyed pattern the gemm
-pool uses), and every ``multiprocessing.shared_memory`` segment must
+GEMM call counters, the logging config, metric registries, session
+caches — are shared across serving worker threads.  Every mutation of
+module-level mutable state must happen under its owning lock, every
+manual ``acquire`` must have a guaranteed ``release``, any module-level
+thread pool must rebuild itself after ``fork`` (keyed on
+``os.getpid()``), and every ``multiprocessing.shared_memory`` segment must
 have a guaranteed ``close()``/``unlink()`` path (the
 ``repro.cluster.shm`` ownership discipline) — leaked segments survive
 the process in ``/dev/shm``.
@@ -34,7 +34,7 @@ _POOL_FACTORIES = ("ThreadPoolExecutor", "ProcessPoolExecutor", "ThreadPool",
     severity=Severity.ERROR,
     summary="module-level mutable state mutated outside a `with <lock>:` block",
     invariant=(
-        "Process-wide singletons (gemm pool stats, logger registry, "
+        "Process-wide singletons (gemm call stats, logger registry, "
         "logging config) are shared by serving worker threads; every "
         "mutation must hold the owning lock — taken in place or by every "
         "resolved caller — as repro.core.gemm and repro.obs.log do."
@@ -140,19 +140,12 @@ def check_bare_acquire(ctx: FileContext) -> Iterator[Finding]:
     summary="module-level thread pool without the PID-keyed fork-rebuild pattern",
     invariant=(
         "Worker threads do not survive fork(); a module-global pool must "
-        "detect the PID change and rebuild — in the same file or in a "
-        "calling function (see repro.core.gemm._get_pool) — or forked "
-        "servers hang on a dead pool."
+        "detect the PID change and rebuild — in the function that builds "
+        "it or in a (transitive) caller — or forked servers hang on a "
+        "dead pool."
     ),
 )
 def check_pool_fork_safety(ctx: FileContext) -> Iterator[Finding]:
-    has_getpid = any(
-        (isinstance(n, ast.Attribute) and n.attr == "getpid")
-        or (isinstance(n, ast.Name) and n.id == "getpid")
-        for n in ast.walk(ctx.tree)
-    )
-    if has_getpid:
-        return
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Assign):
             continue
@@ -169,15 +162,25 @@ def check_pool_fork_safety(ctx: FileContext) -> Iterator[Finding]:
                 for t in node.targets
             ):
                 continue  # a local pool, not module-global
+            if _mentions_getpid(func):
+                continue  # the building function carries the PID guard
             ref = ctx.graph.project.enclosing_function(ctx.path, node.lineno)
             if ref is not None and ctx.graph.ancestors_with_getpid(ref.fq):
                 continue  # a (transitive) caller carries the PID guard
         yield ctx.finding(
             "THR203", node,
             "module-global thread pool built without a PID-keyed "
-            "fork-rebuild guard — compare os.getpid() against the "
-            "pid recorded at construction (see repro.core.gemm)",
+            "fork-rebuild guard — build it lazily and rebuild when "
+            "os.getpid() differs from the pid recorded at construction",
         )
+
+
+def _mentions_getpid(func: ast.AST) -> bool:
+    return any(
+        (isinstance(n, ast.Attribute) and n.attr == "getpid")
+        or (isinstance(n, ast.Name) and n.id == "getpid")
+        for n in ast.walk(func)
+    )
 
 
 def _try_closes(try_node: ast.Try) -> bool:

@@ -24,7 +24,6 @@ from repro.cluster.shm import STATS_FIELDS, ShmArena, ShmSegment, ShmStatsBlock
 from repro.cluster.sizing import (
     autoscale_hint,
     place_chunks,
-    recommended_gemm_threads,
     recommended_replicas,
     usable_cores,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "slot_floats_for",
     "usable_cores",
     "recommended_replicas",
-    "recommended_gemm_threads",
     "autoscale_hint",
     "place_chunks",
 ]

@@ -57,6 +57,7 @@ from repro.cluster.sizing import place_chunks
 from repro.cluster.supervisor import ReplicaHandle, Supervisor, slot_floats_for
 from repro.obs import trace
 from repro.obs.log import get_logger
+from repro.serve.census import merge_census
 from repro.serve.config import ServeConfig
 from repro.serve.metrics import MetricsRegistry
 
@@ -765,35 +766,24 @@ class ClusterPool:
         """Merged per-layer dispatch census across live replicas.
 
         Sends an in-band census probe to every live replica and sums the
-        answers — same shape as
-        :meth:`repro.serve.worker.WorkerPool.exec_census`.
+        answers with :func:`repro.serve.census.merge_census` — same shape
+        as :meth:`repro.serve.worker.WorkerPool.exec_census`.
         """
-        probes: list[tuple[int, _CensusProbe]] = []
-        for rid, st in self._replicas.items():
+        probes: list[_CensusProbe] = []
+        for st in self._replicas.values():
             if st.state != "up":
                 continue
             probe = _CensusProbe()
             with st.lock:
                 st.queue.append(probe)
-            probes.append((rid, probe))
-        merged: dict[str, dict] = {}
-        for rid, probe in probes:
+            probes.append(probe)
+        censuses = []
+        for probe in probes:
             try:
-                _densities, census = probe.future.result(timeout=timeout)
+                censuses.append(probe.future.result(timeout=timeout)[1])
             except Exception:  # noqa: BLE001 — a dead replica just drops out
                 continue
-            for layer, c in census.items():
-                slot = merged.setdefault(
-                    layer,
-                    {"rows_total": 0, "rows_computed": 0, "path_calls": {}},
-                )
-                slot["rows_total"] += c["rows_total"]
-                slot["rows_computed"] += c["rows_computed"]
-                for path, calls in c["path_calls"].items():
-                    slot["path_calls"][path] = (
-                        slot["path_calls"].get(path, 0) + calls
-                    )
-        return merged
+        return merge_census(censuses)
 
 
 __all__ = [

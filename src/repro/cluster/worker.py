@@ -51,6 +51,7 @@ import numpy as np
 from repro.obs import log as obs_log
 from repro.obs import trace
 from repro.obs.log import get_logger
+from repro.serve.census import census_rows, drift_samples, layer_census
 from repro.serve.config import ServeConfig
 from repro.cluster.shm import ShmArena, ShmStatsBlock
 
@@ -103,33 +104,6 @@ def _echo_transform(chunk: np.ndarray, classes: int) -> np.ndarray:
         return flat[:, :classes].copy()
     reps = int(np.ceil(classes / flat.shape[1]))
     return np.tile(flat, (1, reps))[:, :classes].copy()
-
-
-def _engine_census(engine) -> tuple[dict, dict]:
-    """(layer densities, exec census) of one engine — the per-process
-    analogue of :meth:`repro.serve.worker.WorkerPool.exec_census`."""
-    densities: dict[str, float] = {}
-    census: dict[str, dict] = {}
-    for name, rec in engine.records.items():
-        if rec.outputs_total:
-            densities[name] = rec.sensitive_total / rec.outputs_total
-        extra = getattr(rec, "extra", None) or {}
-        if "exec_path_calls" not in extra:
-            continue
-        census[name] = {
-            "rows_total": int(extra.get("exec_rows_total", 0)),
-            "rows_computed": int(extra.get("exec_rows_computed", 0)),
-            "path_calls": {
-                p: int(c) for p, c in extra["exec_path_calls"].items()
-            },
-        }
-    return densities, census
-
-
-def _census_totals(census: dict) -> tuple[int, int]:
-    total = sum(c["rows_total"] for c in census.values())
-    computed = sum(c["rows_computed"] for c in census.values())
-    return total, computed
 
 
 def _apply_observability(spec: ReplicaSpec) -> "obs_log.RecordBuffer | None":
@@ -198,29 +172,12 @@ def _attach_and_serve(spec: ReplicaSpec, conn, buffer) -> None:
         conn.close()
 
 
-def _sensitivity_samples(engine) -> dict[str, dict]:
-    """Per-layer drift samples in the shape ``DriftMonitor.observe`` eats."""
-    if engine is None:
-        return {}
-    densities, census = _engine_census(engine)
-    samples: dict[str, dict] = {
-        name: {"sensitive_ratio": ratio} for name, ratio in densities.items()
-    }
-    for name, c in census.items():
-        samples.setdefault(name, {}).update(
-            rows_total=c["rows_total"],
-            rows_computed=c["rows_computed"],
-            path_calls=c["path_calls"],
-        )
-    return samples
-
-
 def _ship_telemetry(spec: ReplicaSpec, conn, engine, buffer) -> None:
     """Drain finished spans + buffered logs + samples down the pipe."""
     tracer = trace.get_tracer()
     spans = tracer.drain()
     logs = buffer.drain() if buffer is not None else []
-    samples = _sensitivity_samples(engine)
+    samples = {} if engine is None else drift_samples(*layer_census([engine]))
     if not spans and not logs and not samples:
         return
     conn.send(("telemetry", {
@@ -329,8 +286,7 @@ def _serve(
             stats.add(spec.replica_id, "images", float(chunk.shape[0]))
             stats.add(spec.replica_id, "busy_seconds", busy)
             if engine is not None:
-                _, census = _engine_census(engine)
-                total, computed = _census_totals(census)
+                total, computed = census_rows(layer_census([engine])[1])
                 stats.set(spec.replica_id, "sens_rows_total", float(total))
                 stats.set(spec.replica_id, "sens_rows_computed", float(computed))
             stats.set(spec.replica_id, "heartbeat", time.time())
@@ -344,7 +300,7 @@ def _serve(
                 os._exit(CRASH_EXIT_CODE)
         elif kind == "census":
             densities, census = (
-                ({}, {}) if engine is None else _engine_census(engine)
+                ({}, {}) if engine is None else layer_census([engine])
             )
             conn.send(("census", densities, census))
         elif kind in ("drain", "stop"):

@@ -27,7 +27,7 @@ Array = np.ndarray
 
 
 def _pgemm(a: Array, b: Array) -> Array:
-    """Route 2-D products through the verified GEMM (:mod:`repro.core.gemm`).
+    """Route 2-D products through the counted GEMM funnel (:mod:`repro.core.gemm`).
 
     Imported lazily because ``repro.core``'s package init imports
     ``repro.nn`` modules; a module-level import here would cycle.  After

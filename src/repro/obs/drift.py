@@ -85,8 +85,8 @@ class DriftMonitor:
 
         ``samples`` maps layer name to a dict with optional keys
         ``sensitive_ratio`` (float) and ``path_calls`` ({path: count});
-        this is the shape both the telemetry payloads and
-        :meth:`repro.serve.worker.WorkerPool.exec_census` produce.
+        this is the shape :func:`repro.serve.census.drift_samples` builds
+        for both the worker pool and the replicas' telemetry payloads.
         Thread-safe.
         """
         updates: list[tuple[str, float, float, float | None, bool, bool]] = []

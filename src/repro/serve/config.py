@@ -41,9 +41,9 @@ class ServeConfig:
         Compile shape-specialized inference plans
         (:mod:`repro.core.plan`) at session warm-up and reuse them per
         batch shape.  ``False`` (the ``--no-plan`` escape hatch) keeps
-        the legacy per-call path.  Like ``gemm_threads``, this changes
-        speed, never results (planned execution is bit-identical), so
-        it is not part of the session identity key.
+        the legacy per-call path.  This changes speed, never results
+        (planned execution is bit-identical), so it is not part of the
+        session identity key.
 
     Batching
     --------
@@ -64,16 +64,6 @@ class ServeConfig:
         default) keeps the in-process thread pool; ``> 1`` runs that
         many spawn-started replica processes behind a shared-memory
         router — true core parallelism, unconstrained by the GIL.
-    gemm_threads:
-        Width of the process-wide GEMM pool (:mod:`repro.core.gemm`)
-        applied at session build.  ``None`` keeps the ambient setting
-        (``REPRO_GEMM_THREADS`` or ``min(cpu, 8)``); ``1`` disables
-        intra-op parallelism.  Note the pool is shared by all workers
-        (and inherited by every replica process): effective concurrency
-        is ``workers x gemm_threads`` — or ``replicas x gemm_threads``
-        — so keep the product near the core count (a warning is logged
-        when it oversubscribes the affinity mask; see
-        ``docs/serving.md``).
     host / port:
         Bind address.  ``port=0`` asks the OS for a free port (tests).
 
@@ -104,7 +94,6 @@ class ServeConfig:
 
     workers: int = 2
     replicas: int = 1
-    gemm_threads: int | None = None
     host: str = "127.0.0.1"
     port: int = 8321
 
@@ -130,10 +119,6 @@ class ServeConfig:
                 f"replicas must be >= 1 (1 = in-process thread pool, "
                 f"N > 1 = N replica processes), got {self.replicas}"
             )
-        if self.gemm_threads is not None and self.gemm_threads < 1:
-            raise ValueError(
-                f"gemm_threads must be >= 1 when set, got {self.gemm_threads}"
-            )
         if self.train_epochs < 0:
             raise ValueError(f"train_epochs must be >= 0, got {self.train_epochs}")
         if self.calib_images < 1:
@@ -145,36 +130,6 @@ class ServeConfig:
         if self.drift_band <= 0:
             raise ValueError(
                 f"drift_band must be positive, got {self.drift_band}"
-            )
-        self._warn_if_oversubscribed()
-
-    def _warn_if_oversubscribed(self) -> None:
-        """Log when the lane count exceeds the affinity mask.
-
-        Effective compute lanes are ``replicas x gemm_threads`` (process
-        parallelism times intra-op threads) or ``workers x gemm_threads``
-        on the thread path.  Exceeding the usable cores silently
-        timeshares — legal, but it erases the scaling the knobs promise,
-        so surface it once at config build instead of letting users
-        discover it in a flat benchmark curve.
-        """
-        if self.gemm_threads is None:
-            return  # ambient setting: sized from the affinity mask already
-        from repro.cluster.sizing import usable_cores
-
-        cores = usable_cores()
-        parallel = self.replicas if self.replicas > 1 else self.workers
-        lanes = parallel * self.gemm_threads
-        if lanes > cores:
-            from repro.obs.log import get_logger
-
-            get_logger("repro.serve.config").warning(
-                "compute_lanes_oversubscribed",
-                lanes=lanes,
-                usable_cores=cores,
-                replicas=self.replicas,
-                workers=self.workers,
-                gemm_threads=self.gemm_threads,
             )
 
 

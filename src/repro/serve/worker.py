@@ -22,6 +22,7 @@ from repro.core.pipeline import QuantizedInferenceEngine
 from repro.obs import trace
 from repro.obs.log import get_logger
 from repro.serve.batcher import MicroBatcher
+from repro.serve.census import drift_samples, layer_census
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.session import ModelSession
 
@@ -202,9 +203,8 @@ class WorkerPool:
             self._publish_layer_densities(m)
 
     def _publish_layer_densities(self, m: MetricsRegistry) -> None:
-        """Aggregate sensitivity-mask density across worker engines."""
-        densities = self.layer_densities()
-        exec_census = self.exec_census()
+        """Publish the census over all worker engines (gauges + drift)."""
+        densities, exec_census = layer_census(w.engine for w in self._workers)
         for name, density in densities.items():
             m.gauge(
                 f"sensitive_ratio:{name}",
@@ -225,59 +225,14 @@ class WorkerPool:
                     f"dispatches of the {path} result-generation path",
                 ).set(calls)
         if self.drift is not None:
-            samples: dict[str, dict] = {
-                name: {"sensitive_ratio": d} for name, d in densities.items()
-            }
-            for name, census in exec_census.items():
-                samples.setdefault(name, {}).update(
-                    rows_total=census["rows_total"],
-                    rows_computed=census["rows_computed"],
-                    path_calls=census["path_calls"],
-                )
-            self.drift.observe(samples)
+            self.drift.observe(drift_samples(densities, exec_census))
 
     # -- introspection ------------------------------------------------------
 
-    def layer_densities(self) -> dict[str, float]:
-        """Per-layer sensitive-output ratio summed over all worker engines."""
-        sens: dict[str, int] = {}
-        total: dict[str, int] = {}
-        for w in self._workers:
-            for name, rec in w.engine.records.items():
-                sens[name] = sens.get(name, 0) + rec.sensitive_total
-                total[name] = total.get(name, 0) + rec.outputs_total
-        return {
-            name: (sens[name] / total[name] if total[name] else 0.0)
-            for name in sens
-        }
-
     def exec_census(self) -> dict[str, dict]:
-        """Per-layer result-generation dispatch census over all workers.
-
-        Sums the ``exec_*`` extras the ODQ executors record (see
-        :meth:`repro.core.odq.ODQConvExecutor._note_run`): rows
-        seen vs rows actually computed by the chosen path, and how often
-        each path (``dense``/``sparse``) was dispatched.  Layers that
-        never ran an instrumented full-result step (non-ODQ schemes) are
-        absent.
-        """
-        census: dict[str, dict] = {}
-        for w in self._workers:
-            for name, rec in w.engine.records.items():
-                extra = getattr(rec, "extra", None) or {}
-                if "exec_path_calls" not in extra:
-                    continue
-                c = census.setdefault(
-                    name,
-                    {"rows_total": 0, "rows_computed": 0, "path_calls": {}},
-                )
-                c["rows_total"] += int(extra.get("exec_rows_total", 0))
-                c["rows_computed"] += int(extra.get("exec_rows_computed", 0))
-                for path, calls in extra["exec_path_calls"].items():
-                    c["path_calls"][path] = (
-                        c["path_calls"].get(path, 0) + int(calls)
-                    )
-        return census
+        """Per-layer result-generation dispatch census over all workers
+        (see :mod:`repro.serve.census`)."""
+        return layer_census(w.engine for w in self._workers)[1]
 
     def stats(self) -> list[dict]:
         return [w.stats.as_dict() for w in self._workers]

@@ -144,6 +144,42 @@ class TestTHR203PoolForkSafety:
         """
         assert scan(src) == []
 
+    def test_guarded_pool_does_not_silence_an_unguarded_one(self):
+        src = """
+        import os
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = None
+        _POOL_PID = None
+        _OTHER = None
+
+        def get_pool():
+            global _POOL, _POOL_PID
+            if _POOL is None or _POOL_PID != os.getpid():
+                _POOL = ThreadPoolExecutor(max_workers=4)
+                _POOL_PID = os.getpid()
+            return _POOL
+
+        def get_other():
+            global _OTHER
+            if _OTHER is None:
+                _OTHER = ThreadPoolExecutor(max_workers=2)
+            return _OTHER
+        """
+        findings = scan(src)
+        assert rules_of(findings) == ["THR203"]
+        assert findings[0].snippet.startswith("_OTHER = ")
+
+    def test_import_time_pool_flagged_despite_getpid_elsewhere(self):
+        src = """
+        import os
+        from concurrent.futures import ThreadPoolExecutor
+
+        _POOL = ThreadPoolExecutor(max_workers=4)
+        _PID = os.getpid()
+        """
+        assert rules_of(scan(src)) == ["THR203"]
+
     def test_function_local_pool_is_clean(self):
         src = """
         from concurrent.futures import ThreadPoolExecutor

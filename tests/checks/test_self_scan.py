@@ -63,3 +63,11 @@ def test_registry_is_complete_and_well_formed():
     assert all_ids == sorted(all_ids)
     for r in checks.iter_rules():
         assert r.summary and r.invariant, f"{r.id} missing metadata"
+
+
+def test_every_rule_is_documented():
+    doc = (Path(__file__).parents[2] / "docs" / "static-analysis.md").read_text(
+        encoding="utf-8"
+    )
+    missing = [r.id for r in checks.iter_rules() if f"| `{r.id}` |" not in doc]
+    assert missing == [], f"rules without a row in docs/static-analysis.md: {missing}"

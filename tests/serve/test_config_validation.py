@@ -1,20 +1,10 @@
-"""ServeConfig validation: actionable errors, oversubscription warning."""
+"""ServeConfig validation: actionable errors."""
 
 from __future__ import annotations
 
-import io
-
 import pytest
 
-from repro.obs import log
 from repro.serve.config import ServeConfig
-
-
-@pytest.fixture(autouse=True)
-def _reset_logging():
-    log.reset()
-    yield
-    log.reset()
 
 
 class TestValueErrors:
@@ -27,7 +17,7 @@ class TestValueErrors:
             ({"max_wait_ms": -1.0}, "max_wait_ms"),
             ({"workers": 0}, "workers"),
             ({"replicas": 0}, "replicas"),
-            ({"gemm_threads": 0}, "gemm_threads"),
+            ({"drift_band": 0.0}, "drift_band"),
             ({"train_epochs": -1}, "train_epochs"),
             ({"calib_images": 0}, "calib_images"),
             ({"exec_path": "vectorized"}, "exec_path"),
@@ -49,34 +39,3 @@ class TestValueErrors:
     def test_valid_config_accepts_replicas(self):
         cfg = ServeConfig(replicas=4, port=0)
         assert cfg.replicas == 4
-
-    def test_gemm_threads_none_is_valid(self):
-        assert ServeConfig(gemm_threads=None).gemm_threads is None
-
-
-class TestOversubscriptionWarning:
-    def _build(self, **kwargs) -> str:
-        stream = io.StringIO()
-        log.configure(stream=stream)
-        ServeConfig(port=0, **kwargs)
-        return stream.getvalue()
-
-    def test_warns_when_lanes_exceed_affinity(self):
-        # 64 * 64 lanes exceeds any box this test will ever run on.
-        out = self._build(replicas=64, gemm_threads=64)
-        assert "compute_lanes_oversubscribed" in out
-        assert "lanes=4096" in out
-
-    def test_thread_path_uses_workers_for_lane_count(self):
-        out = self._build(workers=64, gemm_threads=64)
-        assert "compute_lanes_oversubscribed" in out
-
-    def test_silent_when_gemm_threads_ambient(self):
-        # gemm_threads=None is sized from the affinity mask downstream;
-        # warning would be noise.
-        out = self._build(replicas=64)
-        assert "compute_lanes_oversubscribed" not in out
-
-    def test_silent_when_within_budget(self):
-        out = self._build(replicas=1, workers=1, gemm_threads=1)
-        assert "compute_lanes_oversubscribed" not in out
